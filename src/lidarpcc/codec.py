@@ -36,11 +36,11 @@ from .coords import (
 )
 from .errors import ConfigError, CorruptStreamError, FormatError
 from .octree import (
-    ContextCursor,
     MultiLevelConfig,
+    Octree,
     build,
     leaf_indices,
-    occupancy_stream,
+    level_contexts,
     part_assignment,
     part_steps,
     partition_multilevel,
@@ -213,6 +213,36 @@ class Container:
         )
 
 
+def encode_tree(tree: Octree) -> bytes:
+    """Range-coded occupancy stream of one octree (a part's payload)."""
+    syms = [lv.symbols for lv in tree.levels]
+    contexts = [level_contexts(parents, lvl) for lvl, parents in enumerate([None] + syms[:-1], start=1)]
+    return entropy.encode_adaptive(np.concatenate(syms), np.concatenate(contexts))
+
+
+def decode_symbols(payload: bytes, depth: int, symbol_count: int) -> np.ndarray:
+    """Breadth-first occupancy symbols of one part, decoded a level at a time.
+
+    Each level's node count is checked against the symbols the header leaves
+    before that level's contexts are derived, so a corrupt ``symbol_count``
+    costs no memory beyond the tree the payload actually holds.
+    """
+    dec = entropy.AdaptiveDecoder(payload)
+    levels = []
+    syms = None
+    left = symbol_count
+    for lvl in range(1, depth + 1):
+        nodes = 1 if syms is None else int(np.bitwise_count(syms).sum())
+        if nodes > left:
+            raise CorruptStreamError(f"symbol count {symbol_count} ends inside level {lvl} ({nodes} nodes)")
+        syms = dec.decode(level_contexts(syms, lvl))
+        levels.append(syms)
+        left -= nodes
+    if left:
+        raise CorruptStreamError(f"symbol count {symbol_count} exceeds the tree's {symbol_count - left} nodes")
+    return np.concatenate(levels)
+
+
 def encode_cloud(cloud: PointCloud, cfg: CodecConfig) -> Container:
     """Quantize each radial part, code its octree, and pack the container."""
     if len(cloud) == 0:
@@ -230,8 +260,7 @@ def encode_cloud(cloud: PointCloud, cfg: CodecConfig) -> Container:
             continue
         st = part_steps(steps, n)
         tree = build(quantize(part, st))
-        bs = entropy.encode(occupancy_stream(tree), entropy.AdaptiveContextModel())
-        records.append(PartRecord(tree.node_count, False, bs.data))
+        records.append(PartRecord(tree.node_count, False, encode_tree(tree)))
     return Container(
         cfg.system,
         steps.depth,
@@ -254,16 +283,10 @@ def decode_cloud(container: Container) -> PointCloud:
         if part.symbol_count == 0:
             raise CorruptStreamError(f"part {n}: zero symbols but not flagged empty")
         st = part_steps(steps, n)
-        cursor = ContextCursor(st.depth)
-        bs = entropy.Bitstream(part.payload, 8 * len(part.payload))
         try:
-            symbols = entropy.decode(bs, entropy.AdaptiveContextModel(), cursor, part.symbol_count)
-        except IndexError:
-            raise CorruptStreamError(f"part {n}: symbol count exceeds tree size") from None
-        if cursor.pending():
-            raise CorruptStreamError(
-                f"part {n}: stream ended with {cursor.pending()} nodes still undecoded"
-            )
+            symbols = decode_symbols(part.payload, st.depth, part.symbol_count)
+        except CorruptStreamError as exc:
+            raise CorruptStreamError(f"part {n}: {exc}") from None
         tree = rebuild(symbols, st.depth)
         qc = QuantizedCloud(leaf_indices(tree), st, part.symbol_count)
         chunks.append(dequantize(qc).points)

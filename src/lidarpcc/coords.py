@@ -179,8 +179,14 @@ def quantize(cloud: PointCloud, steps: QuantSteps) -> QuantizedCloud:
     """Round each transformed coordinate to its lattice and merge duplicates."""
     coords = transform_points(cloud.points, steps)
     idx = np.round(coords / steps.step_vector()[None, :]).astype(np.int64)
-    np.clip(idx, 0, (1 << steps.depth) - 1, out=idx)
-    idx = np.unique(idx, axis=0) if len(idx) else idx
+    d = steps.depth
+    if 3 * d > 63:
+        raise ConfigError(f"depth {d} exceeds the 21 levels an int64 index key holds")
+    np.clip(idx, 0, (1 << d) - 1, out=idx)
+    # one 1-D sort on the key x‖y‖z orders rows as np.unique(axis=0) would
+    key = np.unique(idx[:, 0] << 2 * d | idx[:, 1] << d | idx[:, 2])
+    mask = (1 << d) - 1
+    idx = np.stack([key >> 2 * d, key >> d & mask, key & mask], axis=1)
     return QuantizedCloud(idx, steps, len(cloud))
 
 

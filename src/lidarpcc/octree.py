@@ -20,6 +20,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .coords import QuantizedCloud, QuantSteps, radial_coord, SPHERICAL
+from .entropy import AdaptiveContextModel
 from .errors import ConfigError, CorruptStreamError
 from .pcio import PointCloud
 
@@ -90,11 +91,15 @@ def _deinterleave(codes: np.ndarray, depth: int) -> np.ndarray:
     return out
 
 
+def _occupied(symbols: np.ndarray) -> np.ndarray:
+    """(n, 8) bool: child octant c of node i is occupied; row-major is breadth-first order."""
+    return ((symbols[:, None] >> np.arange(8, dtype=np.uint8)) & 1).astype(bool)
+
+
 def _expand_cells(cells: np.ndarray, symbols: np.ndarray) -> np.ndarray:
     """Child cell codes of each (cell, occupancy) pair, breadth-first order."""
-    occupied = ((symbols[:, None] >> np.arange(8, dtype=np.uint8)) & 1).astype(bool)
     grid = (cells[:, None] << 3) | np.arange(8, dtype=np.int64)
-    return grid[occupied]
+    return grid[_occupied(symbols)]
 
 
 def _child_base(symbols: np.ndarray) -> np.ndarray:
@@ -113,17 +118,17 @@ def build(qc: QuantizedCloud) -> Octree:
     if qc.indices.min() < 0 or qc.indices.max() > hi:
         raise ValueError(f"index outside [0, {hi}] for depth {depth}")
     codes = np.sort(_interleave(qc.indices, depth))
+    u = codes[np.r_[True, codes[1:] != codes[:-1]]]  # occupied leaf cells
     levels = []
-    for lvl in range(1, depth + 1):
-        shift = 3 * (depth - lvl)
-        u = np.unique(codes >> shift)  # occupied child cells at this level
+    for _ in range(depth):  # bottom-up: u holds the occupied children of this level's nodes
         parents = u >> 3
         starts = np.flatnonzero(np.r_[True, parents[1:] != parents[:-1]])
         cells = parents[starts]
         bits = np.left_shift(np.uint8(1), (u & 7).astype(np.uint8))
         symbols = np.bitwise_or.reduceat(bits, starts)
         levels.append(OctreeLevel(cells, symbols, _child_base(symbols)))
-    return Octree(depth, tuple(levels))
+        u = cells
+    return Octree(depth, tuple(reversed(levels)))
 
 
 def leaf_indices(tree: Octree) -> np.ndarray:
@@ -157,12 +162,32 @@ def rebuild(symbols, depth: int) -> Octree:
     return Octree(depth, tuple(levels))
 
 
+def level_contexts(parents: np.ndarray | None, level: int) -> np.ndarray:
+    """Context ids of every node at ``level``, in coding order.
+
+    ``parents`` holds the occupancy bytes of level − 1, or None at the root
+    level. A node's id is ``AdaptiveContextModel.context_id`` of (parent byte,
+    octant 1..8, level); the root has parent byte 0 and octant 1. The ids equal
+    ``context_key`` of the contexts ``occupancy_stream`` yields, in its order,
+    and depend on the level above only, so a decoder derives a level's
+    contexts before it decodes that level.
+    """
+    context_id = AdaptiveContextModel.context_id
+    if parents is None:
+        return np.array([context_id(0, 1, level)], dtype=np.int64)
+    grid = context_id(parents.astype(np.int64)[:, None], np.arange(1, 9), level)
+    return grid[_occupied(parents)]
+
+
 class ContextCursor:
     """Causal walk over a breadth-first occupancy stream.
 
     ``next_context()`` describes the node about to be coded; ``push(symbol)``
     commits its occupancy byte and schedules its children. The encoder and the
     decoder drive the same cursor, so both sides compute identical contexts.
+
+    This is the reference path: the codec derives the same contexts a level
+    at a time with :func:`level_contexts`, and the tests hold the two equal.
     """
 
     _ZERO_ANC = ((0, 0), (0, 0), (0, 0))
@@ -197,7 +222,10 @@ class ContextCursor:
 
 
 def occupancy_stream(tree: Octree) -> Iterator[tuple[int, NodeContext]]:
-    """Yield (symbol, context) pairs in coding order."""
+    """Yield (symbol, context) pairs in coding order.
+
+    Reference path for :func:`level_contexts`, which the codec uses instead.
+    """
     cursor = ContextCursor(tree.depth)
     for lv in tree.levels:
         for sym in lv.symbols:
@@ -234,12 +262,15 @@ class MultiLevelConfig:
 def partition_multilevel(
     cloud: PointCloud, cfg: MultiLevelConfig, rho_max: float, system: str = SPHERICAL
 ) -> list[PointCloud]:
-    """Split by unquantized radius into half-open bands; last band closed at ρ_max."""
-    radii = radial_coord(cloud.points, system)
-    if len(radii) and radii.max() > rho_max:
-        raise ConfigError(f"rho_max={rho_max} smaller than cloud max radius {radii.max():.6g}")
-    edges = np.asarray(cfg.thresholds) * rho_max
-    part = np.clip(np.searchsorted(edges, radii, side="right") - 1, 0, cfg.n_parts - 1)
+    """Split a cloud into the parts of :func:`part_assignment`.
+
+    Rejects a cloud that reaches beyond ``rho_max``, whose outer points the
+    lattice could not hold.
+    """
+    radius = radial_coord(cloud.points, system).max(initial=0.0)
+    if radius > rho_max:
+        raise ConfigError(f"rho_max={rho_max} smaller than cloud max radius {radius:.6g}")
+    part = part_assignment(cloud.points, cfg, rho_max, system)
     out = []
     for n in range(cfg.n_parts):
         mask = part == n
@@ -250,7 +281,7 @@ def partition_multilevel(
 
 def part_assignment(points: np.ndarray, cfg: MultiLevelConfig, rho_max: float,
                     system: str = SPHERICAL) -> np.ndarray:
-    """Part index per point (same rule as partition_multilevel, no splitting)."""
+    """Part index per point: half-open radial bands, the last closed at ρ_max."""
     radii = radial_coord(points, system)
     edges = np.asarray(cfg.thresholds) * rho_max
     return np.clip(np.searchsorted(edges, radii, side="right") - 1, 0, cfg.n_parts - 1)

@@ -235,6 +235,18 @@ def test_symbol_count_mismatch_raises():
             decode_cloud(bad)
 
 
+def test_huge_symbol_count_raises_corrupt():
+    # the decoder sizes nothing by the header's count, so 2**62 is no MemoryError
+    container = encode_cloud(_cloud(n=200), CodecConfig(system=SPHERICAL, q=0.5, parts=ONE_PART))
+    part = container.parts[0]
+    bad = Container(
+        container.system, container.depth, container.q, container.rho_max, container.origin_offset,
+        container.thresholds, (type(part)(2**62, False, part.payload),), container.original_count,
+    )
+    with pytest.raises(CorruptStreamError, match="exceeds"):
+        decode_cloud(Container.from_bytes(bad.to_bytes()))
+
+
 # ---------------------------------------------------------------------------
 # pipeline pairing
 # ---------------------------------------------------------------------------

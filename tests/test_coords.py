@@ -176,8 +176,14 @@ def test_quantize_matches_bruteforce(system):
     qc = quantize(cloud, steps)
     assert {tuple(r) for r in qc.indices.tolist()} == _brute_quantize(pts, steps)
     # sorted lexicographically, deduplicated
-    assert len(np.unique(qc.indices, axis=0)) == len(qc.indices)
+    np.testing.assert_array_equal(qc.indices, np.unique(qc.indices, axis=0))
     assert qc.original_count == len(pts)
+
+
+def test_quantize_rejects_depth_beyond_index_key():
+    cloud = PointCloud(np.array([[1.0, 2.0, 3.0]]))
+    with pytest.raises(ConfigError, match="depth 22"):
+        quantize(cloud, QuantSteps(CARTESIAN, 1.0, 0.0, 0.0, 1 << 22, 22, 0.0))
 
 
 def test_quantize_merges_duplicates():
