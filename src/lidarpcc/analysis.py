@@ -11,9 +11,11 @@ its voxel center has a closed form in each system:
   evaluating the spherical form at the part's midpoint radius gives
   √5·π·q·(t_n + t_{n+1}) / 2^(n+2); at the outer edge, √5·π·q·t_{n+1} / 2^(n+1).
 
-The linearized spherical forms drop the radial q/2 term (it is second order at
-the outer edge where the bound is tightest), so empirical checks carry a small
-slack; `combined_bound_sph` keeps the radial term for exact accounting.
+The linearized spherical forms drop the radial q/2 term, so no lattice with
+radial step q meets them near a part's inner radius. `combined_bound_sph`
+keeps that term, and `empirical_error` rates spherical lattices against it:
+per point for one part, and at each part's outer radius (step q/2ⁿ) for
+several.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ from .pcio import PointCloud, write_ply
 _SQRT3 = math.sqrt(3.0)
 _SQRT5 = math.sqrt(5.0)
 
-#: fraction of ρ_max below which per-point utilization is not meaningful
-#: (the linearized bound vanishes at the origin while the radial error does not)
+#: fraction of ρ_max below which points are left out of one-part utilization
 INNER_EXCLUSION = 0.05
 
 #: multiplicative allowance on the small-angle bounds in empirical checks
@@ -112,12 +113,17 @@ class ErrorReport:
     per_point: np.ndarray | None = None
 
 
-def _part_stats(err, part_idx, q, thresholds, n_parts, spherical) -> tuple[PartErrorStats, ...]:
+def _exact_edge_bound(q: float, n: int, thresholds, rho_max: float) -> float:
+    """Exact bound of part n (step q/2ⁿ) at its outer radius t_{n+1}·ρ_max."""
+    return float(combined_bound_sph(thresholds[n + 1] * rho_max, q / (1 << n), rho_max))
+
+
+def _part_stats(err, part_idx, q, thresholds, n_parts, rho_max, spherical) -> tuple[PartErrorStats, ...]:
     stats = []
     for n in range(n_parts):
         sel = err[part_idx == n]
         mid = bound_part(q, n, thresholds) if spherical else None
-        edge = part_edge_bound(q, n, thresholds) if spherical else None
+        edge = _exact_edge_bound(q, n, thresholds, rho_max) if spherical else None
         if len(sel) == 0:
             stats.append(PartErrorStats(n, 0, 0.0, 0.0, mid, edge, None))
             continue
@@ -164,15 +170,14 @@ def empirical_error(
         rho = radial_coord(cloud.points, SPHERICAL)
         eligible = rho >= INNER_EXCLUSION * steps.rho_max
         excluded = int(len(rho) - eligible.sum())
-        b = bound_sph(rho, q, steps.rho_max)
+        b = combined_bound_sph(rho, q, steps.rho_max)
         bound = float(b.max()) if len(b) else None
         util = float((err[eligible] / b[eligible]).max()) if eligible.any() else None
     elif spherical:
-        bound = max(part_edge_bound(q, n, thresholds) for n in range(n_parts))
+        edges = [_exact_edge_bound(q, n, thresholds, steps.rho_max) for n in range(n_parts)]
+        bound = max(edges)
         part_utils = [
-            float(err[part_idx == n].max()) / part_edge_bound(q, n, thresholds)
-            for n in range(n_parts)
-            if (part_idx == n).any() and part_edge_bound(q, n, thresholds) > 0
+            float(err[part_idx == n].max()) / edges[n] for n in range(n_parts) if (part_idx == n).any()
         ]
         util = max(part_utils) if part_utils else None
     else:  # cylindrical: no closed form in scope
@@ -180,7 +185,9 @@ def empirical_error(
         util = None
 
     per_part = (
-        _part_stats(err, part_idx, q, thresholds, n_parts, spherical) if n_parts > 1 else None
+        _part_stats(err, part_idx, q, thresholds, n_parts, steps.rho_max, spherical)
+        if n_parts > 1
+        else None
     )
     return ErrorReport(
         cfg.system,

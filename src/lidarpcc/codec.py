@@ -36,6 +36,7 @@ from .coords import (
 )
 from .errors import ConfigError, CorruptStreamError, FormatError
 from .octree import (
+    MAX_DEPTH,
     MultiLevelConfig,
     Octree,
     build,
@@ -108,6 +109,24 @@ def resolve_step(cfg: CodecConfig, cloud: PointCloud) -> tuple[float, float | No
     if rm <= 0:
         raise ConfigError("cannot derive a step: all points at the origin")
     return rm / denom, rho_max
+
+
+def _header_fault(system: str, depth: int, q: float, rho_max: float, origin, thresholds) -> str | None:
+    """Which FORMAT.md header invariant the fields break, or None if they hold all."""
+    if depth + len(thresholds) - 1 > MAX_DEPTH:
+        return f"depth {depth} with {len(thresholds)} parts exceeds {MAX_DEPTH} octree levels"
+    if not (math.isfinite(q) and q > 0):
+        return f"step q={q} is not finite and positive"
+    if not math.isfinite(rho_max) or (system != CARTESIAN and rho_max <= 0):
+        return f"rho_max={rho_max} is not finite{'' if system == CARTESIAN else ' and positive'}"
+    if not all(math.isfinite(v) for v in origin):
+        return f"origin {tuple(origin)} is not finite"
+    t = tuple(thresholds)
+    if t[0] != 0.0 or not all(a < b for a, b in zip(t, t[1:] + (1.0,))):
+        return f"thresholds {t} are not 0 = t_0 < ... < t_(N-1) < 1"
+    if system != CARTESIAN and rho_max / q > 1 << depth:
+        return f"rho_max/q = {rho_max / q:.6g} radial bins exceed the depth-{depth} lattice"
+    return None
 
 
 @dataclass(frozen=True)
@@ -188,6 +207,9 @@ class Container:
             raise CorruptStreamError("container truncated in thresholds")
         thresholds = struct.unpack_from(f"<{n_parts}f", blob, off)
         off += 4 * n_parts
+        fault = _header_fault(_SYSTEM_NAME[system_code], depth, q, rho_max, origin, thresholds)
+        if fault:
+            raise CorruptStreamError(f"invalid header: {fault}")
         parts = []
         for n in range(n_parts):
             if len(blob) < off + 17:
@@ -249,6 +271,11 @@ def encode_cloud(cloud: PointCloud, cfg: CodecConfig) -> Container:
         raise ConfigError("cannot encode an empty cloud")
     q, rho_override = resolve_step(cfg, cloud)
     steps = derive_steps(cfg.system, q, cloud, rho_override)
+    thresholds = cfg.parts.thresholds[: cfg.parts.n_parts]
+    fault = _header_fault(cfg.system, steps.depth, steps.q_primary, steps.rho_max, steps.origin_offset,
+                          np.asarray(thresholds, dtype=np.float32).tolist())  # as the header stores them
+    if fault:
+        raise ConfigError(f"configuration gives an undecodable header: {fault}")
     if cfg.parts.n_parts == 1:
         parts = [cloud]
     else:
@@ -267,7 +294,7 @@ def encode_cloud(cloud: PointCloud, cfg: CodecConfig) -> Container:
         steps.q_primary,
         steps.rho_max,
         steps.origin_offset,
-        cfg.parts.thresholds[: cfg.parts.n_parts],
+        thresholds,
         tuple(records),
         len(cloud),
     )

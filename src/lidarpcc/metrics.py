@@ -52,8 +52,11 @@ def _points(cloud) -> np.ndarray:
 
 def nn_distances(query: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Euclidean distance and index of each query point's nearest ref point."""
-    d, i = cKDTree(ref).query(query, k=1, workers=-1)
-    return d, i
+    return _nearest(cKDTree(ref), query)
+
+
+def _nearest(tree: cKDTree, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return tree.query(query, k=1, workers=-1)
 
 
 def _psnr(mse: float, cfg: MetricConfig) -> float:
@@ -63,28 +66,48 @@ def _psnr(mse: float, cfg: MetricConfig) -> float:
     return 10.0 * math.log10(num / mse)
 
 
+def _d1_mse(d_ab: np.ndarray, d_ba: np.ndarray) -> float:
+    return max(float(np.mean(d_ab**2)), float(np.mean(d_ba**2)))
+
+
 def d1_psnr(ref, rec, cfg: MetricConfig = MetricConfig()) -> float:
     """Point-to-point PSNR over the symmetric max of directed MSEs."""
     a, b = _points(ref), _points(rec)
     d_ab, _ = nn_distances(a, b)
     d_ba, _ = nn_distances(b, a)
-    mse = max(float(np.mean(d_ab**2)), float(np.mean(d_ba**2)))
-    return _psnr(mse, cfg)
+    return _psnr(_d1_mse(d_ab, d_ba), cfg)
 
 
-def estimate_normals(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unoriented plane normals per point; flags neighborhoods of rank < 2."""
+def _neighbours(tree: cKDTree, points: np.ndarray, k: int) -> np.ndarray:
+    """(N, k_eff) indices of each point's k nearest points in ``tree`` (built on ``points``)."""
     k_eff = min(k, len(points))
-    _, idx = cKDTree(points).query(points, k=k_eff, workers=-1)
-    if k_eff == 1:
-        idx = idx[:, None]
+    _, idx = tree.query(points, k=k_eff, workers=-1)
+    return idx[:, None] if k_eff == 1 else idx
+
+
+def _fit_normals(points: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Plane normals of the neighbourhoods ``points[idx]``.
+
+    Pass ``idx`` as a temporary: the gather drops the last reference to it.
+    The neighbourhoods are centred in place, so no second (N, k, 3) array is
+    made.
+    """
+    k = idx.shape[1]
     nbh = points[idx]
-    centered = nbh - nbh.mean(axis=1, keepdims=True)
-    cov = np.einsum("nki,nkj->nij", centered, centered) / k_eff
+    del idx
+    nbh -= nbh.mean(axis=1, keepdims=True)
+    cov = np.einsum("nki,nkj->nij", nbh, nbh)
+    del nbh
+    cov /= k
     evals, evecs = np.linalg.eigh(cov)
     normals = evecs[..., 0]
     degenerate = evals[..., 1] <= 1e-12 * np.maximum(evals[..., 2], 1e-300)
     return normals, degenerate
+
+
+def estimate_normals(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unoriented plane normals per point; flags neighborhoods of rank < 2."""
+    return _fit_normals(points, _neighbours(cKDTree(points), points, k))
 
 
 def _plane_mse(err: np.ndarray, normals: np.ndarray, degenerate: np.ndarray) -> float:
@@ -104,18 +127,27 @@ class D2Detail:
     degenerate_normals: int
 
 
-def d2_details(ref, rec, cfg: MetricConfig = MetricConfig()) -> D2Detail:
-    a, b = _points(ref), _points(rec)
+def _check_knn(a: np.ndarray, cfg: MetricConfig) -> None:
     if len(a) < cfg.knn_k:
         raise MetricError(f"reference needs ≥ {cfg.knn_k} points for normal estimation")
-    normals, degenerate = estimate_normals(a, cfg.knn_k)
-    _, i_ba = nn_distances(b, a)  # rec → nearest ref
-    mse_rec = _plane_mse(b - a[i_ba], normals[i_ba], degenerate[i_ba])
-    _, i_ab = nn_distances(a, b)  # ref → nearest rec, projected on the ref point's normal
-    mse_ref = _plane_mse(a - b[i_ab], normals, degenerate)
+
+
+def _d2(a, b, normals, degenerate, i_ab, i_ba, cfg: MetricConfig) -> D2Detail:
+    """D2 from ref normals and both nearest-neighbour index arrays."""
+    mse_rec = _plane_mse(b - a[i_ba], normals[i_ba], degenerate[i_ba])  # rec → nearest ref
+    mse_ref = _plane_mse(a - b[i_ab], normals, degenerate)  # ref → nearest rec, on the ref normal
     return D2Detail(
         _psnr(max(mse_rec, mse_ref), cfg), mse_rec, mse_ref, int(degenerate.sum())
     )
+
+
+def d2_details(ref, rec, cfg: MetricConfig = MetricConfig()) -> D2Detail:
+    a, b = _points(ref), _points(rec)
+    _check_knn(a, cfg)
+    normals, degenerate = estimate_normals(a, cfg.knn_k)
+    _, i_ba = nn_distances(b, a)
+    _, i_ab = nn_distances(a, b)
+    return _d2(a, b, normals, degenerate, i_ab, i_ba, cfg)
 
 
 def d2_psnr(ref, rec, cfg: MetricConfig = MetricConfig()) -> float:
@@ -123,13 +155,17 @@ def d2_psnr(ref, rec, cfg: MetricConfig = MetricConfig()) -> float:
     return d2_details(ref, rec, cfg).db
 
 
+def _chamfer(d_ab: np.ndarray, d_ba: np.ndarray, cfg: MetricConfig) -> float:
+    if cfg.cd_convention == MEAN_SQUARED:
+        return 0.5 * (float(np.mean(d_ab**2)) + float(np.mean(d_ba**2)))
+    return 0.5 * (float(np.mean(d_ab)) + float(np.mean(d_ba)))
+
+
 def chamfer(ref, rec, cfg: MetricConfig = MetricConfig()) -> float:
     a, b = _points(ref), _points(rec)
     d_ab, _ = nn_distances(a, b)
     d_ba, _ = nn_distances(b, a)
-    if cfg.cd_convention == MEAN_SQUARED:
-        return 0.5 * (float(np.mean(d_ab**2)) + float(np.mean(d_ba**2)))
-    return 0.5 * (float(np.mean(d_ab)) + float(np.mean(d_ba)))
+    return _chamfer(d_ab, d_ba, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +252,24 @@ class MetricReport:
 
 
 def compute_report(ref, rec, cfg: MetricConfig = MetricConfig(), rate_bpp: float | None = None) -> MetricReport:
-    detail = d2_details(ref, rec, cfg)
+    """D1, D2 and Chamfer from two k-d trees and three queries.
+
+    The tree on ``ref`` serves the normals' k-NN query and the rec → ref
+    query, and is dropped before the normals are fitted; the tree on ``rec``
+    is built only after that, for the ref → rec query. The values equal those
+    of :func:`d1_psnr`, :func:`d2_details` and :func:`chamfer` bit for bit.
+    """
+    a, b = _points(ref), _points(rec)
+    _check_knn(a, cfg)
+    tree = cKDTree(a)
+    idx = [_neighbours(tree, a, cfg.knn_k)]  # popped below, so _fit_normals can free it
+    d_ba, i_ba = _nearest(tree, b)
+    del tree
+    normals, degenerate = _fit_normals(a, idx.pop())
+    d_ab, i_ab = _nearest(cKDTree(b), a)
+    detail = _d2(a, b, normals, degenerate, i_ab, i_ba, cfg)
     return MetricReport(
-        d1_psnr(ref, rec, cfg), detail.db, chamfer(ref, rec, cfg),
+        _psnr(_d1_mse(d_ab, d_ba), cfg), detail.db, _chamfer(d_ab, d_ba, cfg),
         rate_bpp, detail.degenerate_normals, cfg,
     )
 

@@ -24,7 +24,7 @@ from .entropy import AdaptiveContextModel
 from .errors import ConfigError, CorruptStreamError
 from .pcio import PointCloud
 
-_MAX_DEPTH = 20  # 3·depth bits of a Morton code must fit in int64
+MAX_DEPTH = 20  # 3·depth bits of a Morton code must fit in int64
 
 # octants present in a given occupancy byte, ascending
 _OCTANTS_OF = tuple(tuple(c for c in range(8) if s >> c & 1) for s in range(256))
@@ -43,7 +43,6 @@ class NodeContext(NamedTuple):
 class OctreeLevel:
     cells: np.ndarray  # (n,) int64 Morton prefixes (3·(level−1) bits), ascending
     symbols: np.ndarray  # (n,) uint8 occupancy bytes, 1..255
-    child_base: np.ndarray  # (n,) int64 index of each node's first child in the next level
 
 
 @dataclass(frozen=True)
@@ -102,16 +101,11 @@ def _expand_cells(cells: np.ndarray, symbols: np.ndarray) -> np.ndarray:
     return grid[_occupied(symbols)]
 
 
-def _child_base(symbols: np.ndarray) -> np.ndarray:
-    pops = np.bitwise_count(symbols).astype(np.int64)
-    return np.concatenate([[0], np.cumsum(pops)[:-1]])
-
-
 def build(qc: QuantizedCloud) -> Octree:
     """Top-down octree over the index set; breadth-first deterministic."""
     depth = qc.steps.depth
-    if depth < 1 or depth > _MAX_DEPTH:
-        raise ConfigError(f"octree depth {depth} outside [1, {_MAX_DEPTH}]")
+    if depth < 1 or depth > MAX_DEPTH:
+        raise ConfigError(f"octree depth {depth} outside [1, {MAX_DEPTH}]")
     if len(qc.indices) == 0:
         raise ValueError("cannot build an octree over an empty index set")
     hi = (1 << depth) - 1
@@ -126,7 +120,7 @@ def build(qc: QuantizedCloud) -> Octree:
         cells = parents[starts]
         bits = np.left_shift(np.uint8(1), (u & 7).astype(np.uint8))
         symbols = np.bitwise_or.reduceat(bits, starts)
-        levels.append(OctreeLevel(cells, symbols, _child_base(symbols)))
+        levels.append(OctreeLevel(cells, symbols))
         u = cells
     return Octree(depth, tuple(reversed(levels)))
 
@@ -153,7 +147,7 @@ def rebuild(symbols, depth: int) -> Octree:
         if (syms == 0).any():
             bad = pos + int(np.flatnonzero(syms == 0)[0])
             raise CorruptStreamError(f"zero occupancy byte at node {bad}")
-        levels.append(OctreeLevel(cells, syms, _child_base(syms)))
+        levels.append(OctreeLevel(cells, syms))
         pos += n
         if lvl < depth:
             cells = _expand_cells(cells, syms)

@@ -116,10 +116,16 @@ def test_spherical_single_part_report():
     cfg = CodecConfig(system=SPHERICAL, depth=11, parts=ONE_PART, rho_max=160.0)
     rep = empirical_error(cloud, cfg, keep_per_point=True)
     assert rep.per_point is not None and rep.per_point.shape[0] == len(cloud)
-    # eligibility: only radii >= 5% of rho_max are checked against the linear bound
+    # eligibility: only radii >= 5% of rho_max count towards utilization
     rho = np.linalg.norm(cloud.points, axis=1)
-    assert rep.excluded == int((rho < 0.05 * 160.0).sum())
+    eligible = rho >= 0.05 * 160.0
+    assert rep.excluded == int((~eligible).sum())
     assert rep.max_error == pytest.approx(rep.per_point.max(), rel=1e-12)
+    # rated against the exact bound, which a correct lattice meets
+    exact = combined_bound_sph(rho, rep.q, 160.0)
+    assert rep.bound == exact.max()
+    assert rep.utilization == (rep.per_point[eligible] / exact[eligible]).max()
+    assert rep.utilization <= SMALL_ANGLE_SLACK
 
 
 def test_multi_part_report_has_per_part():
@@ -136,7 +142,11 @@ def test_multi_part_report_has_per_part():
         q_n = rep.q / (1 << p.part)
         edge = combined_bound_sph(thresholds[p.part + 1] * 160.0, q_n, 160.0)
         assert p.max_error <= SMALL_ANGLE_SLACK * edge
+        assert p.bound_edge == edge
         assert p.utilization == pytest.approx(p.max_error / p.bound_edge, rel=1e-12)
+    assert rep.bound == max(p.bound_edge for p in rep.per_part)
+    assert rep.utilization == max(p.utilization for p in rep.per_part)
+    assert rep.utilization <= SMALL_ANGLE_SLACK
 
 
 def test_nearest_pairing_fallback():

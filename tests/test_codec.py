@@ -1,5 +1,8 @@
 """Container format and end-to-end encode/decode behavior."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from lidarpcc.coords import (
     CARTESIAN,
     CYLINDRICAL,
     SPHERICAL,
+    SYSTEMS,
     dequantize,
     derive_steps,
     quantize,
@@ -245,6 +249,114 @@ def test_huge_symbol_count_raises_corrupt():
     )
     with pytest.raises(CorruptStreamError, match="exceeds"):
         decode_cloud(Container.from_bytes(bad.to_bytes()))
+
+
+# ---------------------------------------------------------------------------
+# header invariants
+# ---------------------------------------------------------------------------
+
+NAN, INF = math.nan, math.inf
+
+
+def _rewritten(system=SPHERICAL, **fields) -> bytes:
+    """A real container of ``system`` with header fields replaced, serialized."""
+    parts = ONE_PART if system == CARTESIAN else MultiLevelConfig()
+    container = encode_cloud(_cloud(n=200), CodecConfig(system=system, q=0.5, parts=parts))
+    return dataclasses.replace(container, **fields).to_bytes()
+
+
+@pytest.mark.parametrize("q", [NAN, INF, -INF, 0.0, -0.5])
+def test_header_rejects_bad_q(q):
+    with pytest.raises(CorruptStreamError, match="step q"):
+        Container.from_bytes(_rewritten(q=q))
+
+
+@pytest.mark.parametrize(
+    "system, rho_max",
+    [(SPHERICAL, NAN), (SPHERICAL, INF), (SPHERICAL, 0.0), (SPHERICAL, -1.0),
+     (CYLINDRICAL, -INF), (CYLINDRICAL, 0.0), (CARTESIAN, NAN), (CARTESIAN, INF)],
+)
+def test_header_rejects_bad_rho_max(system, rho_max):
+    with pytest.raises(CorruptStreamError, match="rho_max"):
+        Container.from_bytes(_rewritten(system, rho_max=rho_max))
+
+
+@pytest.mark.parametrize("origin", [(NAN, 0.0, 0.0), (0.0, INF, 0.0), (0.0, 0.0, -INF)])
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_header_rejects_bad_origin(system, origin):
+    with pytest.raises(CorruptStreamError, match="origin"):
+        Container.from_bytes(_rewritten(system, origin_offset=origin))
+
+
+@pytest.mark.parametrize(
+    "thresholds",
+    [(0.1, 0.25, 0.5), (0.0, 0.5, 0.25), (0.0, 0.25, 0.25), (0.0, 0.5, 1.0),
+     (0.0, 0.5, 1.5), (0.0, NAN, 0.5), (-1e-3, 0.25, 0.5)],
+)
+def test_header_rejects_bad_thresholds(thresholds):
+    with pytest.raises(CorruptStreamError, match="thresholds"):
+        Container.from_bytes(_rewritten(thresholds=thresholds))
+
+
+@pytest.mark.parametrize("system, depth", [(SPHERICAL, 19), (SPHERICAL, 255), (CARTESIAN, 21)])
+def test_header_rejects_depth_beyond_morton_range(system, depth):
+    # the deepest part has depth D + N − 1; 3 parts at D = 18 is the deepest allowed
+    with pytest.raises(CorruptStreamError, match="octree levels"):
+        Container.from_bytes(_rewritten(system, depth=depth))
+
+
+@pytest.mark.parametrize(
+    "system, fields",
+    # q = 1e-310 is subnormal: rho_max / q overflows to inf, which made base_steps raise OverflowError
+    [(SPHERICAL, {"depth": 2}), (CYLINDRICAL, {"depth": 2}), (SPHERICAL, {"q": 1e-310})],
+)
+def test_header_rejects_more_radial_bins_than_the_lattice(system, fields):
+    assert Container.from_bytes(_rewritten(system)).rho_max / 0.5 > 1 << 2
+    with pytest.raises(CorruptStreamError, match="radial bins"):
+        Container.from_bytes(_rewritten(system, **fields))
+
+
+def test_encoder_refuses_an_undecodable_header():
+    # base depth 19 (300,000 radial bins) and 3 parts: the points all fall in
+    # part 0, so no octree of depth 20 or 21 is built to reject the depth
+    cloud = PointCloud(np.full((4, 3), 0.1))
+    cfg = CodecConfig(system=SPHERICAL, q=1.0 / 300_000, rho_max=1.0)
+    with pytest.raises(ConfigError, match="octree levels"):
+        encode_cloud(cloud, cfg)
+    # thresholds that are distinct in f64 but equal once stored as f32
+    close = MultiLevelConfig(3, (0.0, 0.5, 0.5 + 1e-12, 1.0))
+    with pytest.raises(ConfigError, match="thresholds"):
+        encode_cloud(_cloud(), CodecConfig(system=SPHERICAL, q=0.5, parts=close))
+
+
+@st.composite
+def _configs(draw):
+    system = draw(st.sampled_from(SYSTEMS))
+    n = draw(st.integers(1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cloud = PointCloud(rng.uniform(-1.0, 1.0, size=(n, 3)) * draw(st.sampled_from([0.01, 1.0, 300.0])))
+    parts = ONE_PART if system == CARTESIAN else draw(
+        st.sampled_from([ONE_PART, MultiLevelConfig(), MultiLevelConfig(2, (0.0, 0.3, 1.0))])
+    )
+    how = draw(st.sampled_from(["kitti", "ford", "raw-depth", "raw-q"]))
+    depth = draw(st.integers(1, 20 - parts.n_parts + 1))
+    if how == "raw-q":
+        extent = float(np.abs(cloud.points).max())
+        return cloud, CodecConfig(system=system, q=extent / draw(st.floats(1.0, 2000.0)), parts=parts)
+    convention = "raw" if how == "raw-depth" else how
+    return cloud, CodecConfig(system=system, depth=depth, convention=convention, parts=parts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_configs())
+def test_every_header_the_encoder_writes_decodes(case):
+    cloud, cfg = case
+    try:
+        container = encode_cloud(cloud, cfg)
+    except ConfigError:
+        return  # a configuration the encoder refuses writes no header
+    blob = container.to_bytes()
+    assert Container.from_bytes(blob).to_bytes() == blob
 
 
 # ---------------------------------------------------------------------------

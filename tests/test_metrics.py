@@ -4,10 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lidarpcc import metrics
 from lidarpcc.errors import MetricError
 from lidarpcc.metrics import (
+    MEAN_L2,
+    MEAN_SQUARED,
+    R_SQUARED,
+    THREE_R_SQUARED,
     MetricConfig,
+    MetricReport,
     RDCurve,
     bd_rate,
     chamfer,
@@ -138,6 +146,53 @@ def test_compute_report_carries_rate():
     rep = compute_report(ref, ref + 0.001, MetricConfig(), rate_bpp=12.5)
     assert rep.rate_bpp == 12.5
     assert rep.d1_db > 0 and math.isfinite(rep.cd)
+
+
+@st.composite
+def _report_cases(draw):
+    k = draw(st.integers(3, 12))
+    n_ref = draw(st.one_of(st.just(k), st.integers(k, 80)))
+    n_rec = draw(st.integers(1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # a coarse grid makes duplicate points and tied distances common
+    grid = draw(st.sampled_from([2, 3, 10**6]))
+    ref = rng.integers(0, grid, size=(n_ref, 3)) * 0.25
+    rec = rng.integers(0, grid, size=(n_rec, 3)) * 0.25 + draw(st.sampled_from([0.0, 0.01]))
+    shared = draw(st.integers(0, min(n_ref, n_rec)))
+    rec[:shared] = ref[:shared]  # some reconstructed points sit exactly on ref points
+    cfg = MetricConfig(
+        peak=draw(st.sampled_from([1.0, 59.70])),
+        psnr_convention=draw(st.sampled_from([R_SQUARED, THREE_R_SQUARED])),
+        knn_k=k,
+        cd_convention=draw(st.sampled_from([MEAN_L2, MEAN_SQUARED])),
+    )
+    return ref, rec, cfg
+
+
+@settings(max_examples=80, deadline=None)
+@given(_report_cases())
+def test_compute_report_equals_the_separate_metrics(case):
+    ref, rec, cfg = case
+    detail = d2_details(ref, rec, cfg)
+    expect = MetricReport(
+        d1_psnr(ref, rec, cfg), detail.db, chamfer(ref, rec, cfg), 3.5, detail.degenerate_normals, cfg
+    )
+    assert compute_report(ref, rec, cfg, rate_bpp=3.5) == expect
+
+
+def test_compute_report_builds_two_trees(monkeypatch):
+    rng = np.random.default_rng(9)
+    ref, rec = rng.normal(size=(300, 3)), rng.normal(size=(200, 3))
+    built = []
+    real = metrics.cKDTree
+
+    def counting(data, *args, **kwargs):
+        built.append(len(data))
+        return real(data, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "cKDTree", counting)
+    compute_report(ref, rec)
+    assert built == [len(ref), len(rec)]
 
 
 # ---------------------------------------------------------------------------
