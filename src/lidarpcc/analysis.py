@@ -26,11 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import CodecConfig, pipeline_reconstruct, resolve_step
-from .coords import CARTESIAN, SPHERICAL, derive_steps, radial_coord
+from .codec import CodecConfig, pipeline_reconstruct
+from .coords import CARTESIAN, SPHERICAL, radial_coord
 from .errors import ConfigError
 from .metrics import nn_distances
-from .octree import part_assignment
 from .pcio import PointCloud, write_ply
 
 _SQRT3 = math.sqrt(3.0)
@@ -146,14 +145,11 @@ def empirical_error(
     an already-decoded cloud loses that pairing (duplicate voxels merge), so
     errors fall back to nearest-neighbor distances and the report says so.
     """
+    recon, part_idx, steps = pipeline_reconstruct(cloud, cfg)
     if rec is None:
-        recon, part_idx, steps = pipeline_reconstruct(cloud, cfg)
         err = np.linalg.norm(cloud.points - recon, axis=1)
         pairing = "pipeline"
     else:
-        q, rho_override = resolve_step(cfg, cloud)
-        steps = derive_steps(cfg.system, q, cloud, rho_override)
-        part_idx = part_assignment(cloud.points, cfg.parts, steps.rho_max, cfg.system)
         err, _ = nn_distances(cloud.points, rec.points)
         pairing = "nearest"
 

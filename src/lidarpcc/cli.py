@@ -142,30 +142,31 @@ def _add_codec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rho-max", type=float, default=None, help="override the measured max radius")
 
 
-def _codec_config(args) -> CodecConfig:
-    if args.thresholds is not None:
+def _part_layout(system: str, parts: int | None, thresholds: str | None) -> MultiLevelConfig:
+    """Radial parts from --parts/--thresholds: defaults 3 (cartesian 1), edges (0, ¼, ½)."""
+    if thresholds is not None:
         try:
-            inner = tuple(float(v) for v in args.thresholds.split(","))
+            inner = tuple(float(v) for v in thresholds.split(","))
         except ValueError:
-            raise ConfigError(f"bad --thresholds value '{args.thresholds}'") from None
-        n = len(inner)
-        if args.parts is not None and args.parts != n:
-            raise ConfigError(f"--parts {args.parts} disagrees with {n} threshold values")
-        thresholds = inner + (1.0,)
-    else:
-        n = args.parts if args.parts is not None else (1 if args.system == CARTESIAN else 3)
-        if n == 1:
-            thresholds = (0.0, 1.0)
-        elif n == 3:
-            thresholds = (0.0, 0.25, 0.5, 1.0)
-        else:
-            raise ConfigError("--thresholds is required when --parts is not 1 or 3")
+            raise ConfigError(f"bad --thresholds value '{thresholds}'") from None
+        if parts is not None and parts != len(inner):
+            raise ConfigError(f"--parts {parts} disagrees with {len(inner)} threshold values")
+        return MultiLevelConfig(len(inner), inner + (1.0,))
+    n = parts if parts is not None else (1 if system == CARTESIAN else 3)
+    if n == 1:
+        return MultiLevelConfig(1, (0.0, 1.0))
+    if n == 3:
+        return MultiLevelConfig(3, (0.0, 0.25, 0.5, 1.0))
+    raise ConfigError("--thresholds is required when --parts is not 1 or 3")
+
+
+def _codec_config(args) -> CodecConfig:
     return CodecConfig(
         system=args.system,
         depth=args.depth,
         q=args.q,
         convention=args.convention,
-        parts=MultiLevelConfig(n, thresholds),
+        parts=_part_layout(args.system, args.parts, args.thresholds),
         rho_max=args.rho_max,
     )
 
@@ -349,15 +350,9 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _bench_row(points, system, depth, parts_n, convention, peak):
+def _bench_row(points, system, depth, parts, convention, peak):
     cloud = PointCloud(points)
-    thresholds = (0.0, 0.25, 0.5, 1.0) if parts_n == 3 else (0.0, 1.0)
-    cfg = CodecConfig(
-        system=system,
-        depth=depth,
-        convention=convention,
-        parts=MultiLevelConfig(parts_n, thresholds),
-    )
+    cfg = CodecConfig(system=system, depth=depth, convention=convention, parts=parts)
     container = encode_cloud(cloud, cfg)
     rec = decode_cloud(container)
     mcfg = MetricConfig(peak=peak)
@@ -365,7 +360,7 @@ def _bench_row(points, system, depth, parts_n, convention, peak):
     return (
         system,
         depth,
-        parts_n,
+        parts.n_parts,
         report.rate_bpp,
         report.d1_db,
         report.d2_db,
@@ -386,9 +381,9 @@ def cmd_bench(args) -> int:
     depths = [int(d) for d in args.depths.split(",")]
     jobs = []
     for system in systems:
-        parts_n = 1 if system == CARTESIAN else (args.parts if args.parts is not None else 3)
+        parts = _part_layout(system, None if system == CARTESIAN else args.parts, None)
         for depth in depths:
-            jobs.append((cloud.points, system, depth, parts_n, args.convention, args.peak))
+            jobs.append((cloud.points, system, depth, parts, args.convention, args.peak))
     with _stage(stages, "bench"):
         if args.workers > 1:
             from concurrent.futures import ProcessPoolExecutor

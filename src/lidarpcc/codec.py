@@ -28,6 +28,7 @@ from .coords import (
     SYSTEMS,
     QuantizedCloud,
     QuantSteps,
+    angle_steps,
     dequantize,
     derive_steps,
     quantize,
@@ -126,6 +127,8 @@ def _header_fault(system: str, depth: int, q: float, rho_max: float, origin, thr
         return f"thresholds {t} are not 0 = t_0 < ... < t_(N-1) < 1"
     if system != CARTESIAN and rho_max / q > 1 << depth:
         return f"rho_max/q = {rho_max / q:.6g} radial bins exceed the depth-{depth} lattice"
+    if system != CARTESIAN and math.ceil(rho_max / q) < 2:
+        return f"rho_max/q = {rho_max / q:.6g} gives fewer than 2 radial bins"
     return None
 
 
@@ -161,12 +164,9 @@ class Container:
             return QuantSteps(self.system, self.q, 0.0, 0.0, 1 << self.depth, self.depth,
                               0.0, tuple(self.origin_offset))
         bins = math.ceil(self.rho_max / self.q)
-        if bins < 2:
-            raise CorruptStreamError(f"header implies {bins} radial bin(s)")
-        q_theta = 2.0 * np.pi / (bins - 1)
-        q_phi = np.pi / (bins - 1) if self.system == SPHERICAL else 0.0
-        return QuantSteps(self.system, self.q, q_theta, q_phi, bins, self.depth,
-                          self.rho_max, tuple(self.origin_offset))
+        q_theta, q_phi = angle_steps(bins, self.q)
+        return QuantSteps(self.system, self.q, q_theta, q_phi if self.system == SPHERICAL else 0.0,
+                          bins, self.depth, self.rho_max, tuple(self.origin_offset))
 
     def to_bytes(self) -> bytes:
         head = bytearray()
@@ -276,10 +276,7 @@ def encode_cloud(cloud: PointCloud, cfg: CodecConfig) -> Container:
                           np.asarray(thresholds, dtype=np.float32).tolist())  # as the header stores them
     if fault:
         raise ConfigError(f"configuration gives an undecodable header: {fault}")
-    if cfg.parts.n_parts == 1:
-        parts = [cloud]
-    else:
-        parts = partition_multilevel(cloud, cfg.parts, steps.rho_max, cfg.system)
+    parts = partition_multilevel(cloud, cfg.parts, steps.rho_max, cfg.system)
     records = []
     for n, part in enumerate(parts):
         if len(part) == 0:
@@ -335,7 +332,8 @@ def pipeline_reconstruct(cloud: PointCloud, cfg: CodecConfig) -> tuple[np.ndarra
 
     Returns (reconstructed points, part index per point, base steps). This is
     the pairing the closed-form error bounds are stated over; the container
-    path loses it by merging duplicate voxels.
+    path loses it by merging duplicate voxels. Parts are assigned as the
+    encoder assigns them, so the same ``rho_max`` checks apply.
     """
     if len(cloud) == 0:
         raise ConfigError("empty cloud")

@@ -115,7 +115,8 @@ class QuantizedCloud:
         object.__setattr__(self, "indices", idx)
 
 
-def _angle_steps(bins: int, q: float) -> tuple[float, float]:
+def angle_steps(bins: int, q: float) -> tuple[float, float]:
+    """(q_θ, q_φ) for ``bins`` radial bins: 2π/(b−1) and π/(b−1)."""
     if bins < 2:
         raise ConfigError(f"quantization step too coarse: q={q} gives {bins} radial bin(s)")
     return 2.0 * np.pi / (bins - 1), np.pi / (bins - 1)
@@ -146,8 +147,10 @@ def derive_steps(system: str, q: float, cloud: PointCloud, rho_max: float | None
     radii = radial_coord(pts, system)
     if rho_max is None:
         rho_max = float(radii.max())
+    if not math.isfinite(rho_max):
+        raise ConfigError(f"rho_max must be finite, got {rho_max}")
     bins = math.ceil(rho_max / q) if rho_max > 0 else 0
-    q_theta, q_phi = _angle_steps(bins, q)
+    q_theta, q_phi = angle_steps(bins, q)
     depth = max(1, math.ceil(math.log2(bins)))
     if system == CYLINDRICAL:
         z_min = float(pts[:, 2].min())
@@ -175,14 +178,19 @@ def untransform_points(coords: np.ndarray, steps: QuantSteps) -> np.ndarray:
     return coords + steps.offset_vector()[None, :]
 
 
+def _lattice_indices(points: np.ndarray, steps: QuantSteps) -> np.ndarray:
+    """Per-point index triples: transform, round to nearest, clip into the 2^D cube."""
+    coords = transform_points(points, steps)
+    idx = np.round(coords / steps.step_vector()[None, :]).astype(np.int64)
+    return np.clip(idx, 0, (1 << steps.depth) - 1, out=idx)
+
+
 def quantize(cloud: PointCloud, steps: QuantSteps) -> QuantizedCloud:
     """Round each transformed coordinate to its lattice and merge duplicates."""
-    coords = transform_points(cloud.points, steps)
-    idx = np.round(coords / steps.step_vector()[None, :]).astype(np.int64)
     d = steps.depth
     if 3 * d > 63:
         raise ConfigError(f"depth {d} exceeds the 21 levels an int64 index key holds")
-    np.clip(idx, 0, (1 << d) - 1, out=idx)
+    idx = _lattice_indices(cloud.points, steps)
     # one 1-D sort on the key x‖y‖z orders rows as np.unique(axis=0) would
     key = np.unique(idx[:, 0] << 2 * d | idx[:, 1] << d | idx[:, 2])
     mask = (1 << d) - 1
@@ -202,7 +210,5 @@ def reconstruct_points(points: np.ndarray, steps: QuantSteps) -> np.ndarray:
     Used by the error-analysis pipeline, which needs the original↔reconstruction
     pairing that the deduplicating codec path discards.
     """
-    coords = transform_points(points, steps)
-    idx = np.round(coords / steps.step_vector()[None, :])
-    np.clip(idx, 0, (1 << steps.depth) - 1, out=idx)
+    idx = _lattice_indices(points, steps)
     return untransform_points(idx * steps.step_vector()[None, :], steps)

@@ -256,14 +256,9 @@ class MultiLevelConfig:
 def partition_multilevel(
     cloud: PointCloud, cfg: MultiLevelConfig, rho_max: float, system: str = SPHERICAL
 ) -> list[PointCloud]:
-    """Split a cloud into the parts of :func:`part_assignment`.
-
-    Rejects a cloud that reaches beyond ``rho_max``, whose outer points the
-    lattice could not hold.
-    """
-    radius = radial_coord(cloud.points, system).max(initial=0.0)
-    if radius > rho_max:
-        raise ConfigError(f"rho_max={rho_max} smaller than cloud max radius {radius:.6g}")
+    """Split a cloud into the parts of :func:`part_assignment`; one part is the cloud itself."""
+    if cfg.n_parts == 1:
+        return [cloud]
     part = part_assignment(cloud.points, cfg, rho_max, system)
     out = []
     for n in range(cfg.n_parts):
@@ -275,8 +270,16 @@ def partition_multilevel(
 
 def part_assignment(points: np.ndarray, cfg: MultiLevelConfig, rho_max: float,
                     system: str = SPHERICAL) -> np.ndarray:
-    """Part index per point: half-open radial bands, the last closed at ρ_max."""
+    """Part index per point: half-open radial bands, the last closed at ρ_max.
+
+    One part takes every point without radii; several reject a cloud beyond ``rho_max``.
+    """
+    if cfg.n_parts == 1:
+        return np.zeros(len(points), dtype=np.int64)
     radii = radial_coord(points, system)
+    radius = radii.max(initial=0.0)
+    if radius > rho_max:
+        raise ConfigError(f"rho_max={rho_max} smaller than cloud max radius {radius:.6g}")
     edges = np.asarray(cfg.thresholds) * rho_max
     return np.clip(np.searchsorted(edges, radii, side="right") - 1, 0, cfg.n_parts - 1)
 

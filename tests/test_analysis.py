@@ -22,7 +22,7 @@ from lidarpcc.codec import CodecConfig, pipeline_reconstruct
 from lidarpcc.coords import CARTESIAN, CYLINDRICAL, SPHERICAL
 from lidarpcc.errors import ConfigError
 from lidarpcc.octree import MultiLevelConfig
-from lidarpcc.pcio import PointCloud
+from lidarpcc.pcio import PointCloud, SynthParams, synth_lidar
 
 ONE_PART = MultiLevelConfig(n_parts=1, thresholds=(0.0, 1.0))
 
@@ -156,6 +156,19 @@ def test_nearest_pairing_fallback():
     rep = empirical_error(cloud, cfg, rec=PointCloud(np.flipud(rec).copy()))
     assert rep.pairing == "nearest"
     assert rep.max_error <= rep.bound * (1 + 1e-9)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [pipeline_reconstruct, empirical_error, lambda cloud, cfg: empirical_error(cloud, cfg, rec=cloud)],
+    ids=["pipeline_reconstruct", "pipeline_pairing", "nearest_pairing"],
+)
+def test_multi_part_rejects_rho_max_below_cloud_radius(run):
+    # the outer ring reaches 400 m, which encode_cloud rejects at ρ_max = 200 m
+    cloud = synth_lidar(SynthParams(beams=4, points_per_ring=64))
+    cfg = CodecConfig(system=SPHERICAL, q=0.5, rho_max=200.0)
+    with pytest.raises(ConfigError, match="rho_max"):
+        run(cloud, cfg)
 
 
 def test_cylindrical_report_has_no_closed_form():

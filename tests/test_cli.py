@@ -126,6 +126,23 @@ def test_bench_and_bdrate(scan, tmp_path):
     assert float(proc.stdout.split("=")[1]) == pytest.approx(0.0, abs=1e-6)
 
 
+def test_bench_builds_parts_as_encode_does(scan, tmp_path):
+    enc = run("encode", scan, tmp_path / "p.scp", "--system", "spherical", "--depth", "9",
+              "--convention", "raw", "--parts", 2)
+    bench = run("bench", scan, tmp_path / "p.csv", "--systems", "spherical", "--depths", "9",
+                "--convention", "raw", "--parts", 2)
+    assert enc.returncode == bench.returncode == 2
+    assert "--thresholds is required" in enc.stderr
+    assert bench.stderr == enc.stderr
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_analyze_rejects_rho_max_below_cloud_radius(scan):
+    proc = run("analyze", scan, "--system", "spherical", "--depth", "9", "--rho-max", "100")
+    assert proc.returncode == 2
+    assert "smaller than cloud max radius" in proc.stderr
+
+
 def test_exit_codes(scan, tmp_path):
     assert run("--help").returncode == 0
     assert run("frobnicate").returncode == 1

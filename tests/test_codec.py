@@ -43,10 +43,7 @@ def _expected_centers(cloud, cfg):
     """Oracle: voxel centers via direct quantization, bypassing the bitstream."""
     q, rho_override = resolve_step(cfg, cloud)
     steps = derive_steps(cfg.system, q, cloud, rho_override)
-    if cfg.parts.n_parts == 1:
-        parts = [cloud]
-    else:
-        parts = partition_multilevel(cloud, cfg.parts, steps.rho_max, cfg.system)
+    parts = partition_multilevel(cloud, cfg.parts, steps.rho_max, cfg.system)
     chunks = [
         dequantize(quantize(p, part_steps(steps, n))).points
         for n, p in enumerate(parts)
@@ -307,8 +304,10 @@ def test_header_rejects_depth_beyond_morton_range(system, depth):
 
 @pytest.mark.parametrize(
     "system, fields",
-    # q = 1e-310 is subnormal: rho_max / q overflows to inf, which made base_steps raise OverflowError
-    [(SPHERICAL, {"depth": 2}), (CYLINDRICAL, {"depth": 2}), (SPHERICAL, {"q": 1e-310})],
+    # q = 1e-310 is subnormal: rho_max / q overflows to inf, which made base_steps raise OverflowError;
+    # rho_max = q leaves one radial bin, too few for the angle steps 2π/(b−1) and π/(b−1)
+    [(SPHERICAL, {"depth": 2}), (CYLINDRICAL, {"depth": 2}), (SPHERICAL, {"q": 1e-310}),
+     (SPHERICAL, {"rho_max": 0.5}), (CYLINDRICAL, {"rho_max": 0.5})],
 )
 def test_header_rejects_more_radial_bins_than_the_lattice(system, fields):
     assert Container.from_bytes(_rewritten(system)).rho_max / 0.5 > 1 << 2

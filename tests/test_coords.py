@@ -120,6 +120,13 @@ def test_too_coarse_step_raises():
         derive_steps(SPHERICAL, 20.0, _shell_cloud(rho=10.0))
 
 
+@pytest.mark.parametrize("rho_max", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("system", [SPHERICAL, CYLINDRICAL])
+def test_non_finite_rho_max_is_rejected_by_name(system, rho_max):
+    with pytest.raises(ConfigError, match="rho_max must be finite"):
+        derive_steps(system, 0.5, _shell_cloud(), rho_max=rho_max)
+
+
 def test_cartesian_steps_cover_bbox():
     pts = np.array([[0.0, 0.0, 0.0], [12.7, 3.0, -4.0]])
     st_ = derive_steps(CARTESIAN, 0.1, PointCloud(pts))

@@ -79,7 +79,7 @@ def test_codec_matches_reference_path(case, data):
     container = encode_cloud(cloud, cfg)
     q, rho = resolve_step(cfg, cloud)
     steps = derive_steps(cfg.system, q, cloud, rho)
-    parts = [cloud] if cfg.parts.n_parts == 1 else partition_multilevel(cloud, cfg.parts, steps.rho_max, cfg.system)
+    parts = partition_multilevel(cloud, cfg.parts, steps.rho_max, cfg.system)
     for n, (part, record) in enumerate(zip(parts, container.parts)):
         if len(part) == 0:
             assert record.empty

@@ -248,6 +248,21 @@ def test_partition_rejects_too_small_rho_max():
     cloud = PointCloud(np.array([[10.0, 0.0, 0.0]]))
     with pytest.raises(ConfigError, match="rho_max"):
         partition_multilevel(cloud, MultiLevelConfig(), 5.0)
+    with pytest.raises(ConfigError, match="smaller than cloud max radius"):
+        part_assignment(cloud.points, MultiLevelConfig(), 5.0, SPHERICAL)
+
+
+def test_one_part_holds_every_point_without_radii(monkeypatch):
+    def no_radii(*args):
+        raise AssertionError("one part needs no radii")
+
+    monkeypatch.setattr("lidarpcc.octree.radial_coord", no_radii)
+    cloud = PointCloud(np.array([[10.0, 0.0, 0.0], [0.0, 3.0, 0.0]]))
+    one = MultiLevelConfig(1, (0.0, 1.0))
+    assignment = part_assignment(cloud.points, one, 5.0, SPHERICAL)
+    assert assignment.dtype == np.int64
+    np.testing.assert_array_equal(assignment, [0, 0])
+    assert partition_multilevel(cloud, one, 5.0)[0] is cloud
 
 
 def test_partition_radius_follows_system():
