@@ -137,6 +137,7 @@ def empirical_error(
     cfg: CodecConfig,
     rec: PointCloud | None = None,
     keep_per_point: bool = False,
+    reconstruction: tuple | None = None,
 ) -> ErrorReport:
     """Per-point reconstruction error against the applicable bound.
 
@@ -144,8 +145,12 @@ def empirical_error(
     with its own voxel center — the pairing the bounds are stated over. Passing
     an already-decoded cloud loses that pairing (duplicate voxels merge), so
     errors fall back to nearest-neighbor distances and the report says so.
+    `reconstruction` is ``pipeline_reconstruct(cloud, cfg)``, for a caller
+    that has computed it already.
     """
-    recon, part_idx, steps = pipeline_reconstruct(cloud, cfg)
+    if reconstruction is None:
+        reconstruction = pipeline_reconstruct(cloud, cfg)
+    recon, part_idx, steps = reconstruction
     if rec is None:
         err = np.linalg.norm(cloud.points - recon, axis=1)
         pairing = "pipeline"

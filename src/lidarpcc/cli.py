@@ -3,8 +3,8 @@
 Every command that writes files also drops a JSON run manifest next to its
 primary output (override with --manifest): the exact argv, the resolved
 config, sha256 of each input, produced outputs, per-stage wall-clock seconds,
-and library versions. Exit codes: 0 success, 1 usage, 2 I/O or format
-problems, 3 corrupt bitstream.
+library versions, and the coder the codec runs ("c" or "python"). Exit
+codes: 0 success, 1 usage, 2 I/O or format problems, 3 corrupt bitstream.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import asdict
 import numpy as np
 import scipy
 
-from . import __version__
+from . import __version__, kernel
 from .analysis import crossover_radii, empirical_error, error_colormap_export
 from .codec import (
     CONVENTIONS,
@@ -89,6 +89,7 @@ def _write_manifest(path, args, config: dict, inputs, outputs, stages) -> None:
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "lidarpcc": __version__,
+            "coder": kernel.coder_name(),
         },
     }
     with open(path, "w") as fh:
@@ -268,7 +269,8 @@ def cmd_analyze(args) -> int:
     cfg = _codec_config(args)
     keep = bool(args.ply or args.hist)
     with _stage(stages, "analyze"):
-        report = empirical_error(cloud, cfg, keep_per_point=keep)
+        reconstruction = pipeline_reconstruct(cloud, cfg)
+        report = empirical_error(cloud, cfg, keep_per_point=keep, reconstruction=reconstruction)
     print(f"system={report.system} q={_G % report.q} pairing={report.pairing}")
     print(f"max_error={_G % report.max_error} mean_error={_G % report.mean_error}")
     if report.bound is not None:
@@ -285,10 +287,9 @@ def cmd_analyze(args) -> int:
     outputs = []
     with _stage(stages, "write"):
         if keep:
-            recon, _, _ = pipeline_reconstruct(cloud, cfg)
             ply = args.ply or str(args.input) + ".error.ply"
             hist = args.hist or str(args.input) + ".error_hist.csv"
-            error_colormap_export(recon, report.per_point, ply, hist, args.bins)
+            error_colormap_export(reconstruction[0], report.per_point, ply, hist, args.bins)
             outputs += [ply, hist]
     mpath = _manifest_path(args, outputs[0] if outputs else None)
     if mpath:

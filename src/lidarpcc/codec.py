@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import entropy
+from . import entropy, kernel
 from .coords import (
     CARTESIAN,
     CYLINDRICAL,
@@ -40,6 +40,7 @@ from .octree import (
     MAX_DEPTH,
     MultiLevelConfig,
     Octree,
+    _deinterleave,
     build,
     leaf_indices,
     level_contexts,
@@ -122,6 +123,9 @@ def _header_fault(system: str, depth: int, q: float, rho_max: float, origin, thr
         return f"rho_max={rho_max} is not finite{'' if system == CARTESIAN else ' and positive'}"
     if not all(math.isfinite(v) for v in origin):
         return f"origin {tuple(origin)} is not finite"
+    # every part's largest index reconstructs below q·2^D from the origin
+    if not math.isfinite(max(abs(v) for v in origin) + q * (1 << depth)):
+        return f"q·2^depth = {q:.6g}·2^{depth} from origin {tuple(origin)} overflows float64"
     t = tuple(thresholds)
     if t[0] != 0.0 or not all(a < b for a, b in zip(t, t[1:] + (1.0,))):
         return f"thresholds {t} are not 0 = t_0 < ... < t_(N-1) < 1"
@@ -129,6 +133,27 @@ def _header_fault(system: str, depth: int, q: float, rho_max: float, origin, thr
         return f"rho_max/q = {rho_max / q:.6g} radial bins exceed the depth-{depth} lattice"
     if system != CARTESIAN and math.ceil(rho_max / q) < 2:
         return f"rho_max/q = {rho_max / q:.6g} gives fewer than 2 radial bins"
+    return None
+
+
+# Every symbol costs the coder at least −log₂(65027/65281) ≈ 0.005624 bits: a
+# context's top frequency is at most T − 254 (the other 254 are ≥ 1) and its
+# total T at most 65281, so coding a symbol multiplies the range by at most
+# 65027/65281. The range starts below 2^32 and ends at or above 2^24 once
+# renormalized, and each payload byte read after the 5-byte preload multiplies
+# it by 2^8. So n symbols read from B bytes satisfy n·0.005624 < 8·(B − 4): at
+# most about 1,422 symbols per payload byte.
+_MIN_SYMBOL_BITS = math.log2(65281 / 65027)
+
+
+def _symbol_count_fault(count: int, depth: int, payload_len: int) -> str | None:
+    """Why a part's symbol count cannot be right, or None; checked before any decoder runs."""
+    capacity = ((1 << 3 * depth) - 1) // 7  # nodes of a full octree with depth levels
+    if count > capacity:
+        return f"symbol count {count} exceeds the depth-{depth} octree's {capacity} nodes"
+    limit = int(8 * max(payload_len - 4, 0) / _MIN_SYMBOL_BITS) + 1  # +1: float rounding
+    if count > limit:
+        return f"symbol count {count} exceeds the {limit} symbols {payload_len} payload bytes can code"
     return None
 
 
@@ -154,9 +179,6 @@ class Container:
     @property
     def n_parts(self) -> int:
         return len(self.parts)
-
-    def multi_level_config(self) -> MultiLevelConfig:
-        return MultiLevelConfig(self.n_parts, tuple(self.thresholds) + (1.0,))
 
     def base_steps(self) -> QuantSteps:
         """Recover the encoder's QuantSteps from header fields alone."""
@@ -236,7 +258,11 @@ class Container:
 
 
 def encode_tree(tree: Octree) -> bytes:
-    """Range-coded occupancy stream of one octree (a part's payload)."""
+    """Range-coded occupancy stream of one octree (a part's payload).
+
+    This is the Python coder: the codec runs ``kernel.encode_part`` instead
+    when the compiled kernel loads, and the tests hold the two byte for byte.
+    """
     syms = [lv.symbols for lv in tree.levels]
     contexts = [level_contexts(parents, lvl) for lvl, parents in enumerate([None] + syms[:-1], start=1)]
     return entropy.encode_adaptive(np.concatenate(syms), np.concatenate(contexts))
@@ -247,7 +273,8 @@ def decode_symbols(payload: bytes, depth: int, symbol_count: int) -> np.ndarray:
 
     Each level's node count is checked against the symbols the header leaves
     before that level's contexts are derived, so a corrupt ``symbol_count``
-    costs no memory beyond the tree the payload actually holds.
+    costs no memory beyond the tree the payload actually holds. This is the
+    Python decoder, the fallback of ``kernel.decode_part``.
     """
     dec = entropy.AdaptiveDecoder(payload)
     levels = []
@@ -277,6 +304,7 @@ def encode_cloud(cloud: PointCloud, cfg: CodecConfig) -> Container:
     if fault:
         raise ConfigError(f"configuration gives an undecodable header: {fault}")
     parts = partition_multilevel(cloud, cfg.parts, steps.rho_max, cfg.system)
+    lib = kernel.load()
     records = []
     for n, part in enumerate(parts):
         if len(part) == 0:
@@ -284,7 +312,11 @@ def encode_cloud(cloud: PointCloud, cfg: CodecConfig) -> Container:
             continue
         st = part_steps(steps, n)
         tree = build(quantize(part, st))
-        records.append(PartRecord(tree.node_count, False, encode_tree(tree)))
+        if lib is None:
+            payload = encode_tree(tree)
+        else:
+            payload = kernel.encode_part(lib, tree.all_symbols(), tree.depth)
+        records.append(PartRecord(tree.node_count, False, payload))
     return Container(
         cfg.system,
         steps.depth,
@@ -300,6 +332,7 @@ def encode_cloud(cloud: PointCloud, cfg: CodecConfig) -> Container:
 def decode_cloud(container: Container) -> PointCloud:
     """Voxel centers of every non-empty part, in part order."""
     steps = container.base_steps()
+    lib = kernel.load()
     chunks = []
     for n, part in enumerate(container.parts):
         if part.empty:
@@ -307,12 +340,19 @@ def decode_cloud(container: Container) -> PointCloud:
         if part.symbol_count == 0:
             raise CorruptStreamError(f"part {n}: zero symbols but not flagged empty")
         st = part_steps(steps, n)
+        fault = _symbol_count_fault(part.symbol_count, st.depth, len(part.payload))
+        if fault:
+            raise CorruptStreamError(f"part {n}: {fault}")
         try:
-            symbols = decode_symbols(part.payload, st.depth, part.symbol_count)
+            if lib is None:
+                tree = rebuild(decode_symbols(part.payload, st.depth, part.symbol_count), st.depth)
+                indices = leaf_indices(tree)
+            else:
+                _, codes = kernel.decode_part(lib, part.payload, st.depth, part.symbol_count)
+                indices = _deinterleave(codes, st.depth)
         except CorruptStreamError as exc:
             raise CorruptStreamError(f"part {n}: {exc}") from None
-        tree = rebuild(symbols, st.depth)
-        qc = QuantizedCloud(leaf_indices(tree), st, part.symbol_count)
+        qc = QuantizedCloud(indices, st, part.symbol_count)
         chunks.append(dequantize(qc).points)
     if not chunks:
         raise CorruptStreamError("container has no non-empty parts")

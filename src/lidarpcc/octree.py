@@ -66,27 +66,35 @@ class Octree:
         )
 
 
+# _SPREAD[b] moves bit i of the byte b to bit 3·i
+_SPREAD = np.zeros(256, dtype=np.int64)
+for _bit in range(8):
+    _SPREAD |= ((np.arange(256) >> _bit) & 1) << (3 * _bit)
+# masks that gather every third bit of a Morton code into the low 21 bits
+_COMPACT = ((2, 0x10C30C30C30C30C3), (4, 0x100F00F00F00F00F), (8, 0x1F0000FF0000FF),
+            (16, 0x1F00000000FFFF), (32, 0x1FFFFF))
+
+
 def _interleave(indices: np.ndarray, depth: int) -> np.ndarray:
-    """Index triples → Morton codes, x highest within each 3-bit group."""
-    code = np.zeros(len(indices), dtype=np.int64)
-    ix, iy, iz = indices[:, 0], indices[:, 1], indices[:, 2]
-    for shift in range(depth - 1, -1, -1):
-        code = (
-            (code << 3)
-            | (((ix >> shift) & 1) << 2)
-            | (((iy >> shift) & 1) << 1)
-            | ((iz >> shift) & 1)
-        )
+    """Index triples → Morton codes, x highest within each 3-bit group.
+
+    Only the low ``depth`` bits of each index count; each coordinate takes
+    one ``_SPREAD`` lookup per byte.
+    """
+    idx = np.asarray(indices, dtype=np.int64) & ((1 << depth) - 1)
+    code = np.zeros(len(idx), dtype=np.int64)
+    for shift in range(0, depth, 8):
+        byte = (idx >> shift) & 255
+        code |= (_SPREAD[byte[:, 0]] << 2 | _SPREAD[byte[:, 1]] << 1 | _SPREAD[byte[:, 2]]) << (3 * shift)
     return code
 
 
 def _deinterleave(codes: np.ndarray, depth: int) -> np.ndarray:
-    out = np.zeros((len(codes), 3), dtype=np.int64)
-    for lvl in range(depth):
-        group = (codes >> (3 * lvl)) & 7
-        out[:, 0] |= ((group >> 2) & 1) << lvl
-        out[:, 1] |= ((group >> 1) & 1) << lvl
-        out[:, 2] |= (group & 1) << lvl
+    """Morton codes → (n, 3) index triples; inverse of :func:`_interleave`."""
+    codes = np.asarray(codes, dtype=np.int64) & ((1 << 3 * depth) - 1)
+    out = (codes[:, None] >> np.array([2, 1, 0])) & 0x1249249249249249
+    for shift, mask in _COMPACT:
+        out = (out | out >> shift) & mask
     return out
 
 

@@ -1,0 +1,242 @@
+/* One radial part's occupancy stream: contexts, adaptive model and range coder.
+ *
+ * The compiled twin of entropy.encode_adaptive / entropy.AdaptiveDecoder
+ * driven by octree.level_contexts; FORMAT.md specifies the bits. Symbols are
+ * one breadth-first occupancy byte per node, levels 1..depth. Every buffer
+ * belongs to the caller; the functions return a count, or a negative error
+ * code with details in info[0..1], and never write past a buffer's capacity.
+ */
+#include <stdint.h>
+#include <stdlib.h>
+
+#define TOP (1u << 24)
+#define COUNT_CAP 65026 /* raw total past which counts halve: 2^16 - 510 */
+#define LEVEL_CAP 16
+#define N_CONTEXTS (256 * 8 * LEVEL_CAP)
+
+enum {
+    ERR_EXHAUSTED = -1,    /* info[0]: payload position of the missing byte */
+    ERR_DESYNC = -2,       /* target >= total */
+    ERR_COUNT_INSIDE = -3, /* info[0]: level, info[1]: its node count */
+    ERR_COUNT_EXCEEDS = -4, /* info[0]: nodes the tree holds */
+    ERR_NOMEM = -5,
+    ERR_CAPACITY = -6,     /* encoder output buffer too small */
+    ERR_SHAPE = -7,        /* encoder input is not a depth-level tree */
+};
+
+/* Fenwick tree over f_s = n_s + 1 (slot 0 unused) and raw counts n_s (slot 0:
+ * their total). Totals stay at or below 2^16 - 255, so 16 bits hold both. */
+typedef struct {
+    uint16_t tree[256];
+    uint16_t counts[256];
+} Context;
+
+typedef struct {
+    Context *slot[N_CONTEXTS];
+} Model;
+
+static Model *model_new(void) { return calloc(1, sizeof(Model)); }
+
+static void model_free(Model *m) {
+    for (int i = 0; i < N_CONTEXTS; i++) free(m->slot[i]);
+    free(m);
+}
+
+/* Context of a node: parent occupancy byte, octant 0..7, level (capped at 16). */
+static Context *context(Model *m, unsigned parent, unsigned octant, int level) {
+    int capped = level < LEVEL_CAP ? level : LEVEL_CAP;
+    Context **p = &m->slot[(parent * 8 + octant) * LEVEL_CAP + (unsigned)capped - 1];
+    if (!*p) {
+        Context *c = calloc(1, sizeof(Context));
+        if (!c) return NULL;
+        for (int i = 1; i < 256; i++) c->tree[i] = (uint16_t)(i & -i);
+        *p = c;
+    }
+    return *p;
+}
+
+static void update(Context *c, unsigned sym) {
+    c->counts[sym]++;
+    if (++c->counts[0] > COUNT_CAP) { /* halve, then rebuild the tree */
+        unsigned total = 0;
+        for (int s = 1; s < 256; s++) {
+            c->counts[s] >>= 1;
+            total += c->counts[s];
+            c->tree[s] = (uint16_t)(c->counts[s] + 1);
+        }
+        c->counts[0] = (uint16_t)total;
+        for (int i = 1; i < 256; i++) {
+            int j = i + (i & -i);
+            if (j < 256) c->tree[j] += c->tree[i];
+        }
+    } else {
+        for (unsigned i = sym; i < 256; i += i & -i) c->tree[i]++;
+    }
+}
+
+/* Walks the nodes of one level: the context of each node comes from the
+ * occupied octants of the previous level's symbols, in breadth-first order. */
+typedef struct {
+    const uint8_t *parents;
+    unsigned parent, mask;
+} Cursor;
+
+static void next_context(Cursor *cur, unsigned *parent, unsigned *octant) {
+    if (!cur->parents) { /* the root */
+        *parent = 0;
+        *octant = 0;
+        return;
+    }
+    while (!cur->mask) cur->mask = cur->parent = *cur->parents++;
+    *parent = cur->parent;
+    *octant = (unsigned)__builtin_ctz(cur->mask);
+    cur->mask &= cur->mask - 1;
+}
+
+static int64_t popcount_sum(const uint8_t *s, int64_t n) {
+    int64_t total = 0;
+    for (int64_t i = 0; i < n; i++) total += __builtin_popcount(s[i]);
+    return total;
+}
+
+typedef struct {
+    uint64_t low;
+    uint32_t range;
+    uint8_t cache;
+    int64_t cache_size, pos, cap;
+    uint8_t *out;
+} Encoder;
+
+static int shift_low(Encoder *e) {
+    if (e->low < 0xFF000000u || e->low > 0xFFFFFFFFu) {
+        uint8_t carry = (uint8_t)(e->low >> 32);
+        if (e->pos + e->cache_size > e->cap) return ERR_CAPACITY;
+        e->out[e->pos++] = (uint8_t)(e->cache + carry);
+        for (; e->cache_size > 1; e->cache_size--) e->out[e->pos++] = (uint8_t)(0xFF + carry);
+        e->cache = (uint8_t)(e->low >> 24);
+        e->cache_size = 0;
+    }
+    e->cache_size++;
+    e->low = (e->low << 8) & 0xFFFFFFFFu;
+    return 0;
+}
+
+/* Range-code n breadth-first symbols of a depth-level octree into out[0..cap).
+ * Returns the payload length. */
+int64_t encode_part(const uint8_t *symbols, int64_t n, int depth, uint8_t *out, int64_t cap) {
+    Model *m = model_new();
+    if (!m) return ERR_NOMEM;
+    Encoder e = {0, 0xFFFFFFFFu, 0, 1, 0, cap, out};
+    int64_t err = 0, start = 0, nodes = 1;
+    const uint8_t *parents = NULL;
+    for (int level = 1; level <= depth && !err; level++) {
+        if (nodes > n - start) { err = ERR_SHAPE; break; }
+        Cursor cur = {parents, 0, 0};
+        for (int64_t k = start; k < start + nodes && !err; k++) {
+            unsigned parent, octant, sym = symbols[k];
+            next_context(&cur, &parent, &octant);
+            Context *c = context(m, parent, octant, level);
+            if (!c) { err = ERR_NOMEM; break; }
+            if (!sym) { err = ERR_SHAPE; break; }
+            uint32_t lo = 0;
+            for (unsigned i = sym - 1; i; i &= i - 1) lo += c->tree[i];
+            uint32_t r = e.range / ((uint32_t)c->counts[0] + 255);
+            e.low += (uint64_t)r * lo;
+            e.range = r * ((uint32_t)c->counts[sym] + 1);
+            while (e.range < TOP && !err) {
+                err = shift_low(&e);
+                e.range <<= 8;
+            }
+            update(c, sym);
+        }
+        parents = symbols + start;
+        start += nodes;
+        if (!err) nodes = popcount_sum(parents, nodes);
+    }
+    if (!err && start != n) err = ERR_SHAPE;
+    for (int i = 0; i < 5 && !err; i++) err = shift_low(&e);
+    model_free(m);
+    return err ? err : e.pos;
+}
+
+/* Decode symbol_count breadth-first symbols of a depth-level octree from
+ * payload[0..len) into symbols[0..symbol_count). Returns the leaf count. */
+int64_t decode_part(const uint8_t *payload, int64_t len, int depth, int64_t symbol_count,
+                    uint8_t *symbols, int64_t *info) {
+    if (len < 5) {
+        info[0] = len;
+        return ERR_EXHAUSTED;
+    }
+    Model *m = model_new();
+    if (!m) return ERR_NOMEM;
+    int64_t pos = 5, err = 0, start = 0, nodes = 1;
+    uint32_t range = 0xFFFFFFFFu, code = 0;
+    for (int i = 1; i < 5; i++) code = code << 8 | payload[i]; /* byte 0 is always zero */
+    const uint8_t *parents = NULL;
+    for (int level = 1; level <= depth && !err; level++) {
+        if (nodes > symbol_count - start) {
+            info[0] = level;
+            info[1] = nodes;
+            err = ERR_COUNT_INSIDE;
+            break;
+        }
+        Cursor cur = {parents, 0, 0};
+        for (int64_t k = start; k < start + nodes; k++) {
+            unsigned parent, octant;
+            next_context(&cur, &parent, &octant);
+            Context *c = context(m, parent, octant, level);
+            if (!c) { err = ERR_NOMEM; break; }
+            uint32_t total = (uint32_t)c->counts[0] + 255, r = range / total, target = code / r;
+            if (target >= total) { err = ERR_DESYNC; break; }
+            /* Fenwick descent to the largest p with cum(p) <= target */
+            unsigned p = 0, rest = target;
+            for (unsigned step = 128; step; step >>= 1) {
+                if (c->tree[p + step] <= rest) {
+                    p += step;
+                    rest -= c->tree[p];
+                }
+            }
+            unsigned sym = p + 1;
+            code -= r * (target - rest);
+            range = r * ((uint32_t)c->counts[sym] + 1);
+            while (range < TOP) {
+                if (pos >= len) { info[0] = pos; err = ERR_EXHAUSTED; break; }
+                code = code << 8 | payload[pos++];
+                range <<= 8;
+            }
+            if (err) break;
+            update(c, sym);
+            symbols[k] = (uint8_t)sym;
+        }
+        parents = symbols + start;
+        start += nodes;
+        if (!err) nodes = popcount_sum(parents, nodes);
+    }
+    if (!err && start != symbol_count) {
+        info[0] = start;
+        err = ERR_COUNT_EXCEEDS;
+    }
+    model_free(m);
+    return err ? err : nodes;
+}
+
+/* Morton codes of the leaves of a decoded tree, in breadth-first order, into
+ * codes[0..leaves). Level sizes never shrink, so each level expands in place,
+ * last parent first: the children of parent j start at or after slot j. */
+int64_t leaf_codes(const uint8_t *symbols, int depth, int64_t *codes, int64_t leaves) {
+    int64_t start = 0, nodes = 1;
+    codes[0] = 0;
+    for (int level = 1; level <= depth; level++) {
+        const uint8_t *s = symbols + start;
+        int64_t next = popcount_sum(s, nodes), w = next;
+        if (next > leaves) return ERR_SHAPE;
+        for (int64_t j = nodes - 1; j >= 0; j--) {
+            int64_t cell = codes[j] << 3;
+            for (int c = 7; c >= 0; c--)
+                if (s[j] >> c & 1) codes[--w] = cell | c;
+        }
+        start += nodes;
+        nodes = next;
+    }
+    return nodes == leaves ? nodes : ERR_SHAPE;
+}

@@ -9,7 +9,10 @@ import sys
 import numpy as np
 import pytest
 
-from lidarpcc.pcio import read_ply
+from lidarpcc import analysis, cli, kernel
+from lidarpcc.analysis import empirical_error, error_colormap_export
+from lidarpcc.codec import CodecConfig, pipeline_reconstruct
+from lidarpcc.pcio import read_kitti_bin, read_ply
 
 CLI = [sys.executable, "-m", "lidarpcc.cli"]
 
@@ -76,6 +79,7 @@ def test_manifest_records_hashes_and_stages(scan, tmp_path):
     assert set(manifest["stages"]) == {"read", "encode", "write"}
     assert manifest["config"]["system"] == "cartesian"
     assert "numpy" in manifest["versions"]
+    assert manifest["versions"]["coder"] in ("c", "python")
 
     # explicit override path
     alt = tmp_path / "alt.json"
@@ -135,6 +139,33 @@ def test_bench_builds_parts_as_encode_does(scan, tmp_path):
     assert "--thresholds is required" in enc.stderr
     assert bench.stderr == enc.stderr
     assert not (tmp_path / "p.csv").exists()
+
+
+def test_analyze_reconstructs_once_with_unchanged_outputs(scan, tmp_path, monkeypatch):
+    cloud = read_kitti_bin(scan)
+    cfg = CodecConfig(system="spherical", depth=11, convention="kitti")
+    # the outputs as analyze wrote them when it reconstructed a second time
+    want_ply, want_hist = tmp_path / "want.ply", tmp_path / "want.csv"
+    errors = empirical_error(cloud, cfg, keep_per_point=True).per_point
+    error_colormap_export(pipeline_reconstruct(cloud, cfg)[0], errors, want_ply, want_hist, 10)
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return pipeline_reconstruct(*args)
+
+    monkeypatch.setattr(cli, "pipeline_reconstruct", counted)
+    monkeypatch.setattr(analysis, "pipeline_reconstruct", counted)
+    monkeypatch.setattr(kernel, "load", lambda: None)
+    ply, hist = tmp_path / "err.ply", tmp_path / "err.csv"
+    assert cli.main(["analyze", str(scan), "--system", "spherical", "--depth", "11",
+                     "--convention", "kitti", "--ply", str(ply), "--hist", str(hist)]) == 0
+    assert len(calls) == 1
+    assert ply.read_bytes() == want_ply.read_bytes()
+    assert hist.read_bytes() == want_hist.read_bytes()
+    manifest = json.loads((tmp_path / "err.ply.manifest.json").read_text())
+    assert manifest["versions"]["coder"] == "python"
 
 
 def test_analyze_rejects_rho_max_below_cloud_radius(scan):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lidarpcc import codec, entropy, kernel
 from lidarpcc.codec import (
     CodecConfig,
     Container,
@@ -236,16 +237,37 @@ def test_symbol_count_mismatch_raises():
             decode_cloud(bad)
 
 
-def test_huge_symbol_count_raises_corrupt():
-    # the decoder sizes nothing by the header's count, so 2**62 is no MemoryError
+def _decoders_must_not_run(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a decoder ran on an unchecked symbol count")
+
+    monkeypatch.setattr(codec, "decode_symbols", refuse)
+    monkeypatch.setattr(kernel, "decode_part", refuse)
+
+
+def test_huge_symbol_count_raises_corrupt(monkeypatch):
+    # the count is checked before either decoder sizes anything by it, so 2**62 is no MemoryError
     container = encode_cloud(_cloud(n=200), CodecConfig(system=SPHERICAL, q=0.5, parts=ONE_PART))
     part = container.parts[0]
-    bad = Container(
-        container.system, container.depth, container.q, container.rho_max, container.origin_offset,
-        container.thresholds, (type(part)(2**62, False, part.payload),), container.original_count,
-    )
-    with pytest.raises(CorruptStreamError, match="exceeds"):
-        decode_cloud(Container.from_bytes(bad.to_bytes()))
+    depth = container.depth
+    # past the payload bound but inside the depth-D octree's (8^D − 1)/7 nodes
+    beyond_payload = int(8 * (len(part.payload) - 4) / codec._MIN_SYMBOL_BITS) + 2
+    assert beyond_payload < (8**depth - 1) // 7
+    _decoders_must_not_run(monkeypatch)
+    for count, reason in ((2**62, "octree's"), (beyond_payload, "payload bytes can code")):
+        bad = dataclasses.replace(container, parts=(dataclasses.replace(part, symbol_count=count),))
+        with pytest.raises(CorruptStreamError, match=f"part 0: symbol count {count} exceeds .*{reason}"):
+            decode_cloud(Container.from_bytes(bad.to_bytes()))
+
+
+def test_payload_bound_admits_the_cheapest_stream():
+    # one context coding one symbol over and over: the cheapest symbols the model allows
+    n = 200_000
+    payload = entropy.encode_adaptive(np.full(n, 7, dtype=np.uint8), np.zeros(n, dtype=np.int64))
+    assert codec._symbol_count_fault(n, 20, len(payload)) is None
+    # the bound is within a factor 4 of it: count halving and the range // total
+    # truncation keep each real symbol above the minimum cost
+    assert codec._symbol_count_fault(4 * n, 20, len(payload)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +315,17 @@ def test_header_rejects_bad_origin(system, origin):
 def test_header_rejects_bad_thresholds(thresholds):
     with pytest.raises(CorruptStreamError, match="thresholds"):
         Container.from_bytes(_rewritten(thresholds=thresholds))
+
+
+@pytest.mark.parametrize(
+    "system, fields",
+    # decoded before as non-finite voxel centers, a ValueError from PointCloud
+    [(CARTESIAN, {"q": 1e307}), (CARTESIAN, {"q": 1e306, "origin_offset": (0.0, 1e308, 0.0)}),
+     (CYLINDRICAL, {"q": 1e306, "rho_max": 1.5e306}), (SPHERICAL, {"q": 1e306, "rho_max": 1.5e306})],
+)
+def test_header_rejects_a_lattice_beyond_float_range(system, fields):
+    with pytest.raises(CorruptStreamError, match="overflows float64"):
+        Container.from_bytes(_rewritten(system, **fields))
 
 
 @pytest.mark.parametrize("system, depth", [(SPHERICAL, 19), (SPHERICAL, 255), (CARTESIAN, 21)])

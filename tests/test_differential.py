@@ -1,19 +1,38 @@
-"""The codec's level-by-level coding path against the per-node reference path.
+"""The codec's coders against the per-node reference path and each other.
 
 The reference path is ``occupancy_stream`` + ``ContextCursor`` contexts coded
 symbol by symbol through ``entropy.encode``/``entropy.decode`` with an
-``AdaptiveContextModel``. The codec must produce the same payload bytes, decode
-the same symbols, and reject the same corrupt inputs.
+``AdaptiveContextModel``. The codec's Python coder (``encode_tree``,
+``decode_symbols``) and the compiled part kernel must both produce the same
+payload bytes, decode the same symbols, and reject the same corrupt inputs;
+the kernel's messages must match the Python coder's word for word. Kernel
+checks run whenever the kernel loads (not under ``--coder python``).
 """
 
+import functools
+import struct
+from datetime import timedelta
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lidarpcc import entropy
-from lidarpcc.codec import CodecConfig, decode_symbols, encode_cloud, encode_tree, resolve_step
+from lidarpcc import entropy, kernel
+from lidarpcc.codec import (
+    MAGIC,
+    CodecConfig,
+    Container,
+    decode_cloud,
+    decode_symbols,
+    encode_cloud,
+    encode_tree,
+    resolve_step,
+)
 from lidarpcc.coords import (
     CARTESIAN,
+    CYLINDRICAL,
+    SPHERICAL,
     SYSTEMS,
     QuantizedCloud,
     QuantSteps,
@@ -21,11 +40,13 @@ from lidarpcc.coords import (
     quantize,
     radial_coord,
 )
-from lidarpcc.errors import CorruptStreamError
+from lidarpcc.errors import CorruptStreamError, FormatError
 from lidarpcc.octree import (
     ContextCursor,
     MultiLevelConfig,
+    _deinterleave,
     build,
+    leaf_indices,
     level_contexts,
     occupancy_stream,
     part_steps,
@@ -54,6 +75,17 @@ def _outcome(decoder, payload, depth, count):
         return decoder(payload, depth, count).tolist()
     except CorruptStreamError:
         return "corrupt"
+
+
+def _detailed_outcome(decoder, payload, depth, count):
+    try:
+        return decoder(payload, depth, count).tolist()
+    except CorruptStreamError as exc:
+        return f"corrupt: {exc}"
+
+
+def _kernel_symbols(payload, depth, count):
+    return kernel.decode_part(kernel.load(), payload, depth, count)[0]
 
 
 @st.composite
@@ -88,6 +120,7 @@ def test_codec_matches_reference_path(case, data):
         tree = build(quantize(part, part_steps(steps, n)))
         stream = list(occupancy_stream(tree))
         assert record.payload == entropy.encode(stream, entropy.AdaptiveContextModel()).data
+        assert encode_tree(tree) == record.payload
 
         key, context_id = entropy.AdaptiveContextModel.context_key, entropy.AdaptiveContextModel.context_id
         syms = [None] + [lv.symbols for lv in tree.levels[:-1]]
@@ -97,6 +130,12 @@ def test_codec_matches_reference_path(case, data):
         payload, count = record.payload, record.symbol_count
         want = _reference_symbols(payload, depth, count)
         np.testing.assert_array_equal(decode_symbols(payload, depth, count), want)
+        lib = kernel.load()
+        if lib is not None:
+            assert kernel.encode_part(lib, tree.all_symbols(), depth) == payload
+            symbols, codes = kernel.decode_part(lib, payload, depth, count)
+            np.testing.assert_array_equal(symbols, want)
+            np.testing.assert_array_equal(_deinterleave(codes, depth), leaf_indices(tree))
 
         flipped = bytearray(payload)
         bit = data.draw(st.integers(0, 8 * len(payload) - 1), label="bit")
@@ -112,6 +151,10 @@ def test_codec_matches_reference_path(case, data):
             assert _outcome(decode_symbols, bad_payload, depth, bad_count) == _outcome(
                 _reference_symbols, bad_payload, depth, bad_count
             )
+            if lib is not None:
+                assert _detailed_outcome(_kernel_symbols, bad_payload, depth, bad_count) == _detailed_outcome(
+                    decode_symbols, bad_payload, depth, bad_count
+                )
 
 
 def test_deep_levels_share_capped_contexts():
@@ -127,4 +170,109 @@ def test_deep_levels_share_capped_contexts():
     syms = [None] + [lv.symbols for lv in tree.levels[:-1]]
     ids = np.concatenate([level_contexts(p, lvl) for lvl, p in enumerate(syms, start=1)])
     assert ids.tolist() == [int(context_id(*key(ctx))) for _, ctx in stream]
-    assert encode_tree(tree) == entropy.encode(stream, entropy.AdaptiveContextModel()).data
+    payload = entropy.encode(stream, entropy.AdaptiveContextModel()).data
+    assert encode_tree(tree) == payload
+    lib = kernel.load()
+    if lib is not None:
+        assert kernel.encode_part(lib, tree.all_symbols(), depth) == payload
+        symbols, codes = kernel.decode_part(lib, payload, depth, tree.node_count)
+        np.testing.assert_array_equal(symbols, tree.all_symbols())
+        np.testing.assert_array_equal(_deinterleave(codes, depth), leaf_indices(tree))
+
+
+def test_both_coders_halve_counts_alike():
+    # 16,384 single-child chains below level 6 of a depth-20 tree: levels
+    # 16..20 share one context, whose 5 × 16,384 symbols pass the 65,026 that
+    # halve its counts. The chains take the last octant, so its symbol 128
+    # sits above 127 others in the cumulative table and moves the coder's low.
+    a, b, c = np.meshgrid(np.arange(16), np.arange(32), np.arange(32), indexing="ij")
+    depth = 20
+    indices = np.stack([a.ravel(), b.ravel(), c.ravel()], axis=1) << (depth - 5) | ((1 << (depth - 5)) - 1)
+    steps = QuantSteps(CARTESIAN, 1.0, 0.0, 0.0, 1 << depth, depth, 0.0)
+    tree = build(QuantizedCloud(indices, steps, len(indices)))
+    lib = kernel.load()
+    if lib is None:
+        pytest.skip("compiled kernel not in use")
+    payload = encode_tree(tree)
+    assert kernel.encode_part(lib, tree.all_symbols(), depth) == payload
+    symbols, codes = kernel.decode_part(lib, payload, depth, tree.node_count)
+    np.testing.assert_array_equal(symbols, tree.all_symbols())
+    np.testing.assert_array_equal(_deinterleave(codes, depth), leaf_indices(tree))
+
+
+# ---------------------------------------------------------------------------
+# decoder fuzzing: any bytes end in a cloud or a format/corrupt-stream error,
+# and the kernel and the Python coder end the same way
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def _real_containers() -> tuple[bytes, ...]:
+    """A cartesian, a cylindrical and a 3-part spherical container of one small cloud."""
+    cloud = PointCloud(np.random.default_rng(5).uniform(-20.0, 20.0, size=(150, 3)))
+    cfgs = (
+        CodecConfig(system=CARTESIAN, depth=6, parts=ONE_PART),
+        CodecConfig(system=CYLINDRICAL, q=0.5, parts=ONE_PART),
+        CodecConfig(system=SPHERICAL, q=0.5),
+    )
+    return tuple(encode_cloud(cloud, cfg).to_bytes() for cfg in cfgs)
+
+
+_U64 = st.integers(0, 2**64 - 1)
+_F64 = st.floats(allow_nan=True, allow_infinity=True)
+
+
+def _header_fields(blob: bytes) -> list:
+    """(offset, struct format, value strategy) of every header and part-record field."""
+    container = Container.from_bytes(blob)
+    fields = [(off, "<B", st.integers(0, 255)) for off in (4, 5, 6, 7)]
+    fields += [(off, "<d", _F64) for off in range(8, 48, 8)]
+    fields += [(48 + 4 * n, "<f", st.floats(width=32)) for n in range(container.n_parts)]
+    off = 48 + 4 * container.n_parts
+    for part in container.parts:
+        near = st.integers(max(part.symbol_count - 3, 0), part.symbol_count + 3)
+        fields += [(off, "<Q", st.one_of(_U64, near)), (off + 8, "<B", st.integers(0, 255)),
+                   (off + 9, "<Q", st.one_of(_U64, st.integers(0, len(part.payload) + 3)))]
+        off += 17 + len(part.payload)
+    return fields + [(off, "<Q", _U64)]
+
+
+@st.composite
+def fuzzed_containers(draw):
+    kind = draw(st.sampled_from(["bytes", "flips", "truncation", "field"]))
+    if kind == "bytes":
+        tail = st.binary(max_size=120)
+        return draw(st.one_of(tail, tail.map(lambda b: MAGIC + b"\x01" + b)))
+    blob = bytearray(draw(st.sampled_from(_real_containers())))
+    if kind == "flips":
+        for bit in draw(st.lists(st.integers(0, 8 * len(blob) - 1), min_size=1, max_size=4)):
+            blob[bit // 8] ^= 1 << (bit % 8)
+    elif kind == "truncation":
+        del blob[draw(st.integers(0, len(blob) - 1)):]
+    else:
+        off, fmt, values = draw(st.sampled_from(_header_fields(bytes(blob))))
+        struct.pack_into(fmt, blob, off, draw(values))
+    return bytes(blob)
+
+
+def _decode_outcome(blob: bytes):
+    try:
+        return decode_cloud(Container.from_bytes(blob)).points.tobytes()
+    except (FormatError, CorruptStreamError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=5), suppress_health_check=[HealthCheck.too_slow])
+@given(fuzzed_containers())
+def test_decoder_is_total_on_both_coders(blob):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "load", lambda: None)
+        python = _decode_outcome(blob)
+    if kernel.load() is not None:
+        assert _decode_outcome(blob) == python
+
+
+def test_fuzzed_containers_reach_the_decoders():
+    # the real containers decode, so the mutations start from streams that both coders accept
+    for blob in _real_containers():
+        assert isinstance(_decode_outcome(blob), bytes)

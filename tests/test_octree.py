@@ -10,6 +10,8 @@ from lidarpcc.errors import ConfigError, CorruptStreamError
 from lidarpcc.octree import (
     ContextCursor,
     MultiLevelConfig,
+    _deinterleave,
+    _interleave,
     build,
     leaf_indices,
     occupancy_stream,
@@ -73,6 +75,26 @@ def index_sets(draw):
         st.lists(st.tuples(*[st.integers(0, hi)] * 3), min_size=n, max_size=n)
     )
     return np.array(rows, dtype=np.int64), depth
+
+
+def _interleave_per_bit(indices, depth):
+    """Reference: one 3-bit group per level, x highest."""
+    code = np.zeros(len(indices), dtype=np.int64)
+    for shift in range(depth - 1, -1, -1):
+        for axis in range(3):
+            code = code << 1 | (indices[:, axis] >> shift) & 1
+    return code
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 20), st.integers(0, 2**32 - 1))
+def test_morton_tables_match_the_per_bit_rule(depth, seed):
+    rng = np.random.default_rng(seed)
+    # indices past the 2^D cube and below 0: only their low D bits count
+    indices = rng.integers(-(1 << depth), 2 << depth, size=(200, 3))
+    codes = _interleave(indices, depth)
+    np.testing.assert_array_equal(codes, _interleave_per_bit(indices, depth))
+    np.testing.assert_array_equal(_deinterleave(codes, depth), indices & ((1 << depth) - 1))
 
 
 @given(index_sets())
