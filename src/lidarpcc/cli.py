@@ -3,7 +3,8 @@
 Every command that writes files also drops a JSON run manifest next to its
 primary output (override with --manifest): the exact argv, the resolved
 config, sha256 of each input, produced outputs, per-stage wall-clock seconds,
-library versions, and the coder the codec runs ("c" or "python"). Exit
+library versions, and, for encode, decode and bench, the coder the codec
+ran ("c" or "python"). Exit
 codes: 0 success, 1 usage, 2 I/O or format problems, 3 corrupt bitstream.
 """
 
@@ -77,20 +78,23 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(path, args, config: dict, inputs, outputs, stages) -> None:
+def _write_manifest(path, args, config: dict, inputs, outputs, stages, coder=False) -> None:
+    """Write the run manifest; ``coder`` adds the coder the codec ran, for commands that code."""
+    versions = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "lidarpcc": __version__,
+    }
+    if coder:
+        versions["coder"] = kernel.coder_name()
     doc = {
         "command": ["lidarpcc"] + list(args._argv),
         "config": config,
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": [str(o) for o in outputs],
         "stages": stages,
-        "versions": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "lidarpcc": __version__,
-            "coder": kernel.coder_name(),
-        },
+        "versions": versions,
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -194,7 +198,7 @@ def cmd_encode(args) -> int:
     )
     mpath = _manifest_path(args, args.output)
     if mpath:
-        _write_manifest(mpath, args, asdict(cfg), [args.input], [args.output], stages)
+        _write_manifest(mpath, args, asdict(cfg), [args.input], [args.output], stages, coder=True)
     return 0
 
 
@@ -211,7 +215,7 @@ def cmd_decode(args) -> int:
     mpath = _manifest_path(args, args.output)
     if mpath:
         cfg = {"system": container.system, "depth": container.depth, "q": container.q}
-        _write_manifest(mpath, args, cfg, [args.input], [args.output], stages)
+        _write_manifest(mpath, args, cfg, [args.input], [args.output], stages, coder=True)
     return 0
 
 
@@ -410,7 +414,7 @@ def cmd_bench(args) -> int:
             "convention": args.convention,
             "peak": args.peak,
         }
-        _write_manifest(mpath, args, cfg, [args.input], [args.output], stages)
+        _write_manifest(mpath, args, cfg, [args.input], [args.output], stages, coder=True)
     return 0
 
 

@@ -4,8 +4,9 @@ The kernel codes one radial part's occupancy stream exactly as
 :func:`codec.encode_tree` and :func:`codec.decode_symbols` do, contexts
 included, and expands the decoded tree to its leaf Morton codes. :func:`load`
 compiles the C source with the system ``cc`` into a per-user cache the first
-time a coder asks for it; without a compiler it returns None and the codec
-keeps to the Python coder, which writes the same bytes.
+time a coder asks for it; without a compiler, or without a cache directory
+private to the user, it returns None and the codec keeps to the Python coder,
+which writes the same bytes.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import ctypes
 import functools
 import hashlib
 import os
+import platform
 import shutil
+import stat
 import subprocess
 import tempfile
 from pathlib import Path
@@ -38,62 +41,71 @@ _SIGNATURES = {
 }
 
 
-def _cache_dirs() -> list[Path]:
-    """Where the built library may live, first choice first."""
-    return [Path.home() / ".cache" / "lidarpcc", Path(tempfile.gettempdir()) / "lidarpcc"]
+def cache_dir() -> Path:
+    """The per-user directory the built library lives in."""
+    return Path.home() / ".cache" / "lidarpcc"
 
 
-def _compile(source: bytes, target: Path) -> bool:
-    """Build the shared library at ``target`` through a temp name, so readers never see half a file."""
-    cc = shutil.which("cc")
-    if cc is None:
-        return False
-    target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(suffix=".so", dir=target.parent)
-    os.close(fd)
-    try:
-        src = Path(tmp).with_suffix(".c")
+def _private(path: Path) -> bool:
+    """True when ``path`` belongs to this user and no one else may write to it."""
+    st = path.stat()
+    return st.st_uid == os.getuid() and not st.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
+
+
+def _compile(cc: str, source: bytes, target: Path) -> bool:
+    """Build the shared library at ``target`` in a private temp dir beside it, so readers never see half a file."""
+    with tempfile.TemporaryDirectory(dir=target.parent) as tmp:
+        src, lib = Path(tmp) / "part_kernel.c", Path(tmp) / "part_kernel.so"
         src.write_bytes(source)
-        try:
-            done = subprocess.run([cc, *CFLAGS, str(src), "-o", tmp], capture_output=True, timeout=120)
-        finally:
-            src.unlink(missing_ok=True)
+        done = subprocess.run([cc, *CFLAGS, str(src), "-o", str(lib)], capture_output=True, timeout=120)
         if done.returncode != 0:
             return False
-        os.replace(tmp, target)
-        return True
-    finally:
-        Path(tmp).unlink(missing_ok=True)
+        lib.chmod(0o700)
+        os.replace(lib, target)
+    return True
 
 
-def open_kernel(cache_dirs) -> ctypes.CDLL | None:
-    """Load the library built from the current source in the first usable cache dir.
+def open_kernel(cache: Path | None = None) -> ctypes.CDLL | None:
+    """Load the library built from the current source in ``cache``, building it there first if missing.
 
-    A missing build is compiled there first. Returns None when no directory
-    holds or can build a loadable library.
+    ``cache`` defaults to :func:`cache_dir`. The file name keys the source,
+    the flags, the machine and the compiler. Returns None, and the codec keeps
+    to the Python coder, when there is no compiler or home directory, the
+    source is missing, the build fails, or ``cache`` or the library in it is
+    not private to this user: a file someone else could have written is never
+    loaded.
     """
-    source = SOURCE.read_bytes()
-    key = hashlib.sha256(source + " ".join(CFLAGS).encode()).hexdigest()[:16]
-    for cache in cache_dirs:
-        path = Path(cache) / f"part_kernel-{key}.so"
-        try:
-            if not path.exists() and not _compile(source, path):
-                continue
-            lib = ctypes.CDLL(str(path))
-        except (OSError, subprocess.SubprocessError):
-            continue  # unwritable cache, failed build or unloadable file: try the next
-        for name, argtypes in _SIGNATURES.items():
-            fn = getattr(lib, name)
-            fn.argtypes = argtypes
-            fn.restype = ctypes.c_int64
-        return lib
-    return None
+    cc = shutil.which("cc")
+    if cc is None:
+        return None
+    try:
+        source = SOURCE.read_bytes()
+        key = hashlib.sha256(b"\0".join(
+            [source, " ".join(CFLAGS).encode(), platform.machine().encode(), cc.encode()]
+        )).hexdigest()[:16]
+        cache = cache_dir() if cache is None else Path(cache)
+        cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+        if not _private(cache):
+            return None
+        path = cache / f"part_kernel-{key}.so"
+        if not path.exists() and not _compile(cc, source, path):
+            return None
+        if not _private(path):
+            return None
+        lib = ctypes.CDLL(str(path))
+    except (OSError, RuntimeError, subprocess.SubprocessError):
+        return None  # no home, unwritable cache, failed build or unloadable file
+    for name, argtypes in _SIGNATURES.items():
+        fn = getattr(lib, name)
+        fn.argtypes = argtypes
+        fn.restype = ctypes.c_int64
+    return lib
 
 
 @functools.cache
 def load() -> ctypes.CDLL | None:
     """The compiled kernel, built once per source version; None when it cannot be built."""
-    return open_kernel(_cache_dirs())
+    return open_kernel()
 
 
 def coder_name() -> str:
@@ -107,11 +119,8 @@ def _ptr(array: np.ndarray, kind):
 
 def encode_part(lib: ctypes.CDLL, symbols: np.ndarray, depth: int) -> bytes:
     """Payload of a part's breadth-first occupancy symbols; equals ``codec.encode_tree``."""
-    symbols = np.asarray(symbols)
     if symbols.dtype != np.uint8:
-        if len(symbols) and not (1 <= symbols.min() and symbols.max() <= 255):
-            raise ValueError("occupancy symbol outside [1, 255]")
-        symbols = symbols.astype(np.uint8)
+        raise TypeError(f"occupancy symbols must be uint8, not {symbols.dtype}")
     symbols = np.ascontiguousarray(symbols)
     # a symbol renormalizes at most twice (its range stays ≥ 2^24/2^16), and
     # every shift emits at most one byte, flush included

@@ -157,7 +157,7 @@ def test_analyze_reconstructs_once_with_unchanged_outputs(scan, tmp_path, monkey
 
     monkeypatch.setattr(cli, "pipeline_reconstruct", counted)
     monkeypatch.setattr(analysis, "pipeline_reconstruct", counted)
-    monkeypatch.setattr(kernel, "load", lambda: None)
+    monkeypatch.setattr(kernel, "load", lambda: pytest.fail("analyze loaded the coder"))
     ply, hist = tmp_path / "err.ply", tmp_path / "err.csv"
     assert cli.main(["analyze", str(scan), "--system", "spherical", "--depth", "11",
                      "--convention", "kitti", "--ply", str(ply), "--hist", str(hist)]) == 0
@@ -165,7 +165,7 @@ def test_analyze_reconstructs_once_with_unchanged_outputs(scan, tmp_path, monkey
     assert ply.read_bytes() == want_ply.read_bytes()
     assert hist.read_bytes() == want_hist.read_bytes()
     manifest = json.loads((tmp_path / "err.ply.manifest.json").read_text())
-    assert manifest["versions"]["coder"] == "python"
+    assert "coder" not in manifest["versions"]  # analyze codes nothing
 
 
 def test_analyze_rejects_rho_max_below_cloud_radius(scan):

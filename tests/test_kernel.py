@@ -5,50 +5,75 @@ test_differential.py; these tests cover building, caching and falling back.
 """
 
 import ctypes
+import os
 import shutil
+import stat
 
 import numpy as np
 import pytest
 
 from lidarpcc import kernel
-from lidarpcc.codec import CodecConfig, Container, decode_cloud, encode_cloud, encode_tree
-from lidarpcc.octree import rebuild
+from lidarpcc.codec import CodecConfig, Container, decode_cloud, encode_cloud
 from lidarpcc.pcio import SynthParams, synth_lidar
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 
 
-def _library_files(path):
-    return sorted(p.name for p in path.glob("*.so"))
-
-
 @needs_cc
 def test_builds_once_into_the_cache_and_declares_every_signature(tmp_path, monkeypatch):
-    lib = kernel.open_kernel([tmp_path])
+    cache = tmp_path / "cache"
+    lib = kernel.open_kernel(cache)
     assert lib is not None
-    names = _library_files(tmp_path)
-    assert len(names) == 1 and names[0].startswith("part_kernel-")
-    assert not list(tmp_path.glob("*.c"))  # the build's temp files are gone
+    assert stat.S_IMODE(cache.stat().st_mode) == 0o700
+    names = sorted(p.name for p in cache.iterdir())  # the build's temp files are gone
+    assert len(names) == 1 and names[0].startswith("part_kernel-") and names[0].endswith(".so")
     for name, argtypes in kernel._SIGNATURES.items():
         fn = getattr(lib, name)
         assert fn.argtypes == argtypes and fn.restype is ctypes.c_int64
     # a second process finds the built file and compiles nothing
     monkeypatch.setattr(kernel, "_compile", lambda *a: pytest.fail("compiled twice"))
-    assert kernel.open_kernel([tmp_path]) is not None
-    assert _library_files(tmp_path) == names
+    assert kernel.open_kernel(cache) is not None
+    assert sorted(p.name for p in cache.iterdir()) == names
 
 
 @needs_cc
-def test_unusable_cache_dir_falls_through_to_the_next(tmp_path):
+def test_library_someone_else_could_write_is_not_loaded(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    assert kernel.open_kernel(cache) is not None
+    (built,) = cache.glob("*.so")
+    monkeypatch.setattr(kernel, "_compile", lambda *a: pytest.fail("rebuilt over a planted file"))
+    built.chmod(0o777)  # world-writable file
+    assert kernel.open_kernel(cache) is None
+    built.chmod(0o700)
+    cache.chmod(0o777)  # world-writable directory
+    assert kernel.open_kernel(cache) is None
+    cache.chmod(0o700)
+    uid = os.getuid()
+    monkeypatch.setattr(kernel.os, "getuid", lambda: uid + 1)  # files of another user
+    assert kernel.open_kernel(cache) is None
+
+
+@needs_cc
+def test_unusable_cache_dir_means_no_kernel(tmp_path):
     blocked = tmp_path / "file"
     blocked.write_text("a file where a directory should be")
-    assert kernel.open_kernel([blocked / "cache", tmp_path / "second"]) is not None
-    assert _library_files(tmp_path / "second")
+    assert kernel.open_kernel(blocked / "cache") is None
 
 
 def test_no_compiler_means_no_kernel(tmp_path, monkeypatch):
     monkeypatch.setattr(kernel.shutil, "which", lambda name: None)
-    assert kernel.open_kernel([tmp_path]) is None
+    assert kernel.open_kernel(tmp_path) is None
+
+
+def test_missing_source_or_home_means_no_kernel(tmp_path, monkeypatch):
+    monkeypatch.setattr(kernel, "SOURCE", tmp_path / "gone.c")
+    assert kernel.open_kernel(tmp_path / "cache") is None
+
+    def no_home():
+        raise RuntimeError("Could not determine home directory.")
+
+    monkeypatch.setattr(kernel, "cache_dir", no_home)
+    assert kernel.open_kernel() is None
 
 
 @needs_cc
@@ -56,8 +81,8 @@ def test_failed_build_means_no_kernel(tmp_path, monkeypatch):
     source = tmp_path / "broken.c"
     source.write_text("this is not C\n")
     monkeypatch.setattr(kernel, "SOURCE", source)
-    assert kernel.open_kernel([tmp_path / "cache"]) is None
-    assert not _library_files(tmp_path / "cache")
+    assert kernel.open_kernel(tmp_path / "cache") is None
+    assert not list((tmp_path / "cache").iterdir())
 
 
 def test_fallback_writes_and_reads_the_same_bytes(monkeypatch):
@@ -79,11 +104,8 @@ def lib(coder):
 
 
 def test_encode_part_rejects_what_is_not_an_octree(lib):
-    with pytest.raises(ValueError, match="outside"):
-        kernel.encode_part(lib, np.array([1, 256]), 2)
+    with pytest.raises(TypeError, match="uint8"):
+        kernel.encode_part(lib, np.array([3, 1, 128]), 2)
     for symbols, depth in (([], 1), ([1], 2), ([1, 1, 1], 2), ([3, 0, 1], 2)):
         with pytest.raises(ValueError, match="not the breadth-first occupancy"):
             kernel.encode_part(lib, np.array(symbols, dtype=np.uint8), depth)
-    # wider integer symbols are taken once they fit a byte
-    symbols = np.array([3, 1, 128])
-    assert kernel.encode_part(lib, symbols, 2) == encode_tree(rebuild(symbols, 2))
