@@ -38,12 +38,13 @@ from .coords import (
 from .errors import ConfigError, CorruptStreamError, FormatError
 from .octree import (
     MAX_DEPTH,
+    ContextCursor,
     MultiLevelConfig,
     Octree,
     _deinterleave,
     build,
     leaf_indices,
-    level_contexts,
+    occupancy_stream,
     part_assignment,
     part_steps,
     partition_multilevel,
@@ -260,36 +261,33 @@ class Container:
 def encode_tree(tree: Octree) -> bytes:
     """Range-coded occupancy stream of one octree (a part's payload).
 
-    This is the Python coder: the codec runs ``kernel.encode_part`` instead
-    when the compiled kernel loads, and the tests hold the two byte for byte.
+    This is the per-node Python coder: the codec runs ``kernel.encode_part``
+    instead when the compiled kernel loads, and the tests hold the two byte
+    for byte.
     """
-    syms = [lv.symbols for lv in tree.levels]
-    contexts = [level_contexts(parents, lvl) for lvl, parents in enumerate([None] + syms[:-1], start=1)]
-    return entropy.encode_adaptive(np.concatenate(syms), np.concatenate(contexts))
+    return entropy.encode(occupancy_stream(tree), entropy.AdaptiveContextModel()).data
 
 
 def decode_symbols(payload: bytes, depth: int, symbol_count: int) -> np.ndarray:
-    """Breadth-first occupancy symbols of one part, decoded a level at a time.
+    """Breadth-first occupancy symbols of one part, decoded node by node.
 
     Each level's node count is checked against the symbols the header leaves
-    before that level's contexts are derived, so a corrupt ``symbol_count``
-    costs no memory beyond the tree the payload actually holds. This is the
-    Python decoder, the fallback of ``kernel.decode_part``.
+    before that level is decoded, so a corrupt ``symbol_count`` costs no
+    memory beyond the tree the payload actually holds. This is the Python
+    decoder, the fallback of ``kernel.decode_part``, with the same messages.
     """
-    dec = entropy.AdaptiveDecoder(payload)
-    levels = []
-    syms = None
-    left = symbol_count
+    dec = entropy._RangeDecoder(payload)
+    model = entropy.AdaptiveContextModel()
+    cursor = ContextCursor(depth)
+    out = bytearray()
     for lvl in range(1, depth + 1):
-        nodes = 1 if syms is None else int(np.bitwise_count(syms).sum())
-        if nodes > left:
+        nodes = cursor.pending()
+        if nodes > symbol_count - len(out):
             raise CorruptStreamError(f"symbol count {symbol_count} ends inside level {lvl} ({nodes} nodes)")
-        syms = dec.decode(level_contexts(syms, lvl))
-        levels.append(syms)
-        left -= nodes
-    if left:
-        raise CorruptStreamError(f"symbol count {symbol_count} exceeds the tree's {symbol_count - left} nodes")
-    return np.concatenate(levels)
+        out += bytes(entropy._decode_next(dec, model, cursor) for _ in range(nodes))
+    if len(out) != symbol_count:
+        raise CorruptStreamError(f"symbol count {symbol_count} exceeds the tree's {len(out)} nodes")
+    return np.frombuffer(out, dtype=np.uint8)
 
 
 def encode_cloud(cloud: PointCloud, cfg: CodecConfig) -> Container:

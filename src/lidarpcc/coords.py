@@ -151,7 +151,9 @@ def derive_steps(system: str, q: float, cloud: PointCloud, rho_max: float | None
         raise ConfigError(f"rho_max must be finite, got {rho_max}")
     bins = math.ceil(rho_max / q) if rho_max > 0 else 0
     q_theta, q_phi = angle_steps(bins, q)
-    depth = max(1, math.ceil(math.log2(bins)))
+    # the largest index on any axis is the radial one of ρ_max (the angles'
+    # are bins − 1 at most), so the depth is the bit length of round(ρ_max/q)
+    depth = max(1, int(np.round(rho_max / q)).bit_length())
     if system == CYLINDRICAL:
         z_min = float(pts[:, 2].min())
         z_lattice = int(np.round((pts[:, 2].max() - z_min) / q)) + 1
@@ -179,9 +181,16 @@ def untransform_points(coords: np.ndarray, steps: QuantSteps) -> np.ndarray:
 
 
 def _lattice_indices(points: np.ndarray, steps: QuantSteps) -> np.ndarray:
-    """Per-point index triples: transform, round to nearest, clip into the 2^D cube."""
+    """Per-point index triples: transform, round to nearest, clip into the 2^D cube.
+
+    :func:`derive_steps` sizes the cube to hold every index of a cloud within
+    ``rho_max``; a radius whose index lands beyond it is refused, not clipped
+    to the outermost radial bin.
+    """
     coords = transform_points(points, steps)
     idx = np.round(coords / steps.step_vector()[None, :]).astype(np.int64)
+    if steps.system != CARTESIAN and idx[:, 0].max(initial=0) >> steps.depth:
+        raise ConfigError(f"rho_max={steps.rho_max} smaller than cloud max radius {coords[:, 0].max():.6g}")
     return np.clip(idx, 0, (1 << steps.depth) - 1, out=idx)
 
 

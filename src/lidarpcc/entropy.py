@@ -41,9 +41,8 @@ class Bitstream:
 class ProbabilityModel:
     """Interface: predict a 255-way pmf per context, then learn the outcome.
 
-    ``coding_table`` is the integer view the range coder consumes; the default
-    derives it from ``predict`` by deterministic quantization, so any model
-    implementing predict/update is codable as-is.
+    ``coding_table`` is the integer view of the same prediction that the
+    range coder consumes.
     """
 
     def predict(self, ctx) -> np.ndarray:
@@ -54,20 +53,11 @@ class ProbabilityModel:
 
     def coding_table(self, ctx) -> np.ndarray:
         """Length-256 cumulative frequencies: cum[0]=0, cum[s] covers symbols 1..s."""
-        return quantize_pmf(self.predict(ctx))
+        raise NotImplementedError
 
     def state_digest(self) -> str:
         """Hash of the mutable state; encoder/decoder must agree after every symbol."""
         return hashlib.sha256(b"stateless").hexdigest()
-
-
-def quantize_pmf(p: np.ndarray) -> np.ndarray:
-    """Deterministically map a pmf to cumulative integer frequencies (each ≥ 1)."""
-    f = 1 + np.floor(np.asarray(p, dtype=np.float64) * (_COUNT_CAP)).astype(np.int64)
-    cum = np.empty(256, dtype=np.int64)
-    cum[0] = 0
-    np.cumsum(f, out=cum[1:])
-    return cum
 
 
 class UniformModel(ProbabilityModel):
@@ -94,9 +84,9 @@ class AdaptiveContextModel(ProbabilityModel):
     The float position feature stays out of the key (it is not discrete) but
     remains available on the contexts for richer models.
 
-    This is the reference path: the codec codes with :func:`encode_adaptive`
-    and :class:`AdaptiveDecoder`, which keep the same model per integer
-    context id, and the tests hold both byte for byte to this class.
+    This is the reference path and the codec's Python coder: the compiled
+    part kernel keeps the same model per context, and the tests hold it byte
+    for byte to this class.
     """
 
     LEVEL_CAP = 16
@@ -107,11 +97,6 @@ class AdaptiveContextModel(ProbabilityModel):
     @classmethod
     def context_key(cls, ctx) -> tuple:
         return (ctx.ancestors[0][0], ctx.octant, min(ctx.level, cls.LEVEL_CAP))
-
-    @classmethod
-    def context_id(cls, parent, octant, level):
-        """``context_key`` packed into one int; works elementwise on int64 arrays."""
-        return parent << 9 | octant << 5 | np.minimum(level, cls.LEVEL_CAP)
 
     def _entry(self, ctx) -> list:
         key = self.context_key(ctx)
@@ -263,16 +248,21 @@ def decode(bs: Bitstream, model: ProbabilityModel, contexts, count: int) -> np.n
     dec = _RangeDecoder(bs.data)
     out = np.empty(count, dtype=np.uint8)
     for i in range(count):
-        ctx = cursor.next_context()
-        cum = model.coding_table(ctx)
-        v = dec.decode_target(int(cum[255]))
-        sym = int(np.searchsorted(cum, v, side="right"))
-        lo = int(cum[sym - 1])
-        dec.consume(lo, int(cum[sym]) - lo)
-        model.update(ctx, sym)
-        cursor.push(sym)
-        out[i] = sym
+        out[i] = _decode_next(dec, model, cursor)
     return out
+
+
+def _decode_next(dec: _RangeDecoder, model: ProbabilityModel, cursor) -> int:
+    """Decode the symbol of the cursor's next context, then advance model and cursor."""
+    ctx = cursor.next_context()
+    cum = model.coding_table(ctx)
+    v = dec.decode_target(int(cum[255]))
+    sym = int(np.searchsorted(cum, v, side="right"))
+    lo = int(cum[sym - 1])
+    dec.consume(lo, int(cum[sym]) - lo)
+    model.update(ctx, sym)
+    cursor.push(sym)
+    return sym
 
 
 def cross_entropy(stream, model: ProbabilityModel) -> float:
@@ -282,146 +272,3 @@ def cross_entropy(stream, model: ProbabilityModel) -> float:
         bits -= math.log2(float(model.predict(ctx)[int(sym) - 1]))
         model.update(ctx, int(sym))
     return bits
-
-
-# ---------------------------------------------------------------------------
-# Fused coder: the adaptive model on integer context ids
-# ---------------------------------------------------------------------------
-#
-# Per context: a Fenwick tree (Fenwick 1994) over the coding frequencies
-# f_s = n_s + 1, s = 1..255, in a 256-slot list (slot 0 unused), and the raw
-# counts n_s in a 256-slot list whose slot 0 holds the raw total. Plain lists
-# beat numpy arrays per symbol. The range-coder arithmetic is that of
-# _RangeEncoder/_RangeDecoder, inlined on local variables.
-
-_FENWICK_ONES = [i & -i for i in range(256)]  # tree of f_s = 1 for every symbol
-
-
-def _new_context() -> list:
-    return [_FENWICK_ONES[:], [0] * 256]
-
-
-def _halve(counts: list) -> list:
-    """Halve the counts in place (n_s >>= 1) and return their rebuilt Fenwick tree."""
-    for s in range(1, 256):
-        counts[s] >>= 1
-    counts[0] = sum(counts[1:])
-    tree = [0] + [c + 1 for c in counts[1:]]
-    for i in range(1, 256):
-        j = i + (i & -i)
-        if j < 256:
-            tree[j] += tree[i]
-    return tree
-
-
-def encode_adaptive(symbols: np.ndarray, contexts: np.ndarray) -> bytes:
-    """Range-code symbols under the adaptive model, one integer context id each.
-
-    The payload equals ``encode(stream, AdaptiveContextModel()).data`` when
-    ``contexts[i]`` is ``AdaptiveContextModel.context_id`` of the key of the
-    i-th context of ``stream``.
-    """
-    symbols = np.asarray(symbols)
-    if len(symbols) != len(contexts):
-        raise ValueError(f"{len(symbols)} symbols but {len(contexts)} contexts")
-    if len(symbols) and not (1 <= symbols.min() and symbols.max() <= 255):
-        raise ValueError("occupancy symbol outside [1, 255]")
-    models: dict[int, list] = {}
-    low, rng, cache, cache_size = 0, _MASK32, 0, 1
-    out = bytearray()
-    for sym, ctx in zip(symbols.tolist(), np.asarray(contexts).tolist()):
-        model = models.get(ctx)
-        if model is None:
-            model = models[ctx] = _new_context()
-        tree, counts = model
-        lo = 0  # cum(sym − 1), a Fenwick prefix sum
-        i = sym - 1
-        while i:
-            lo += tree[i]
-            i &= i - 1
-        r = rng // (counts[0] + 255)
-        low += r * lo
-        rng = r * (counts[sym] + 1)
-        while rng < _TOP:
-            if low < 0xFF000000 or low > _MASK32:
-                carry = low >> 32
-                out.append((cache + carry) & 0xFF)
-                if cache_size > 1:
-                    out += bytes(((0xFF + carry) & 0xFF,)) * (cache_size - 1)
-                cache = (low >> 24) & 0xFF
-                cache_size = 0
-            cache_size += 1
-            low = (low << 8) & _MASK32
-            rng = (rng << 8) & _MASK32
-        counts[sym] += 1
-        counts[0] += 1
-        if counts[0] > _COUNT_CAP:
-            model[0] = _halve(counts)
-        else:
-            i = sym
-            while i < 256:
-                tree[i] += 1
-                i += i & -i
-    enc = _RangeEncoder()  # hand the state over for the reference flush
-    enc._low, enc._range, enc._cache, enc._cache_size, enc._out = low, rng, cache, cache_size, out
-    return enc.finish()
-
-
-class AdaptiveDecoder:
-    """Inverse of :func:`encode_adaptive`, fed the context ids a batch at a time.
-
-    Coder and model state carry over between :meth:`decode` calls, so a caller
-    can derive the next batch's contexts from the symbols decoded so far.
-    """
-
-    def __init__(self, data: bytes):
-        dec = _RangeDecoder(data)
-        self._data = data
-        self._code, self._range, self._pos = dec._code, dec._range, dec._pos
-        self._models: dict[int, list] = {}
-
-    def decode(self, contexts: np.ndarray) -> np.ndarray:
-        """Decode one symbol per context id; uint8 array."""
-        data, models = self._data, self._models
-        end = len(data)
-        code, rng, pos = self._code, self._range, self._pos
-        out = bytearray(len(contexts))
-        for k, ctx in enumerate(np.asarray(contexts).tolist()):
-            model = models.get(ctx)
-            if model is None:
-                model = models[ctx] = _new_context()
-            tree, counts = model
-            total = counts[0] + 255
-            r = rng // total
-            target = code // r
-            if target >= total:
-                raise CorruptStreamError("range decoder desynchronized")
-            # Fenwick descent to the largest p with cum(p) ≤ target; the steps
-            # sum to 255, so the index never leaves the tree
-            p, rest = 0, target
-            for step in (128, 64, 32, 16, 8, 4, 2, 1):
-                t = tree[p + step]
-                if t <= rest:
-                    p += step
-                    rest -= t
-            sym = p + 1
-            code -= r * (target - rest)
-            rng = r * (counts[sym] + 1)
-            while rng < _TOP:
-                if pos >= end:
-                    raise CorruptStreamError(f"range-coded payload exhausted at byte {pos}")
-                code = ((code << 8) | data[pos]) & _MASK32
-                pos += 1
-                rng = (rng << 8) & _MASK32
-            counts[sym] += 1
-            counts[0] += 1
-            if counts[0] > _COUNT_CAP:
-                model[0] = _halve(counts)
-            else:
-                i = sym
-                while i < 256:
-                    tree[i] += 1
-                    i += i & -i
-            out[k] = sym
-        self._code, self._range, self._pos = code, rng, pos
-        return np.frombuffer(out, dtype=np.uint8)

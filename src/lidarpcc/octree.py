@@ -20,7 +20,6 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .coords import QuantizedCloud, QuantSteps, radial_coord, SPHERICAL
-from .entropy import AdaptiveContextModel
 from .errors import ConfigError, CorruptStreamError
 from .pcio import PointCloud
 
@@ -98,15 +97,11 @@ def _deinterleave(codes: np.ndarray, depth: int) -> np.ndarray:
     return out
 
 
-def _occupied(symbols: np.ndarray) -> np.ndarray:
-    """(n, 8) bool: child octant c of node i is occupied; row-major is breadth-first order."""
-    return ((symbols[:, None] >> np.arange(8, dtype=np.uint8)) & 1).astype(bool)
-
-
 def _expand_cells(cells: np.ndarray, symbols: np.ndarray) -> np.ndarray:
     """Child cell codes of each (cell, occupancy) pair, breadth-first order."""
     grid = (cells[:, None] << 3) | np.arange(8, dtype=np.int64)
-    return grid[_occupied(symbols)]
+    occupied = ((symbols[:, None] >> np.arange(8, dtype=np.uint8)) & 1).astype(bool)
+    return grid[occupied]  # row-major: nodes in order, octants ascending
 
 
 def build(qc: QuantizedCloud) -> Octree:
@@ -164,23 +159,6 @@ def rebuild(symbols, depth: int) -> Octree:
     return Octree(depth, tuple(levels))
 
 
-def level_contexts(parents: np.ndarray | None, level: int) -> np.ndarray:
-    """Context ids of every node at ``level``, in coding order.
-
-    ``parents`` holds the occupancy bytes of level − 1, or None at the root
-    level. A node's id is ``AdaptiveContextModel.context_id`` of (parent byte,
-    octant 1..8, level); the root has parent byte 0 and octant 1. The ids equal
-    ``context_key`` of the contexts ``occupancy_stream`` yields, in its order,
-    and depend on the level above only, so a decoder derives a level's
-    contexts before it decodes that level.
-    """
-    context_id = AdaptiveContextModel.context_id
-    if parents is None:
-        return np.array([context_id(0, 1, level)], dtype=np.int64)
-    grid = context_id(parents.astype(np.int64)[:, None], np.arange(1, 9), level)
-    return grid[_occupied(parents)]
-
-
 class ContextCursor:
     """Causal walk over a breadth-first occupancy stream.
 
@@ -188,8 +166,8 @@ class ContextCursor:
     commits its occupancy byte and schedules its children. The encoder and the
     decoder drive the same cursor, so both sides compute identical contexts.
 
-    This is the reference path: the codec derives the same contexts a level
-    at a time with :func:`level_contexts`, and the tests hold the two equal.
+    ``codec.decode_symbols`` drives it when the compiled part kernel, which
+    derives the same contexts from the parent bytes, is not in use.
     """
 
     _ZERO_ANC = ((0, 0), (0, 0), (0, 0))
@@ -226,7 +204,8 @@ class ContextCursor:
 def occupancy_stream(tree: Octree) -> Iterator[tuple[int, NodeContext]]:
     """Yield (symbol, context) pairs in coding order.
 
-    Reference path for :func:`level_contexts`, which the codec uses instead.
+    ``codec.encode_tree`` codes this stream when the compiled part kernel is
+    not in use.
     """
     cursor = ContextCursor(tree.depth)
     for lv in tree.levels:

@@ -1,9 +1,11 @@
 """Session options shared by every test module.
 
 ``--coder python`` replaces the compiled-kernel loader with one that finds no
-kernel, so the whole suite runs the codec's Python coder. The default,
-``auto``, uses the kernel whenever it builds. Commands run in subprocesses
-load the kernel as usual either way.
+kernel, so the whole suite runs the codec's fallback: the per-node reference
+path of ``codec.encode_tree``/``codec.decode_symbols``. The default, ``auto``,
+uses the kernel whenever it builds. Commands run in subprocesses load the
+kernel as usual either way; CI runs the console script once more with ``cc``
+off ``PATH`` to cover the fallback there.
 """
 
 import pytest

@@ -18,7 +18,7 @@ from lidarpcc.analysis import (
     error_colormap_export,
     part_edge_bound,
 )
-from lidarpcc.codec import CodecConfig, pipeline_reconstruct
+from lidarpcc.codec import CodecConfig, encode_cloud, pipeline_reconstruct
 from lidarpcc.coords import CARTESIAN, CYLINDRICAL, SPHERICAL
 from lidarpcc.errors import ConfigError
 from lidarpcc.octree import MultiLevelConfig
@@ -168,6 +168,21 @@ def test_multi_part_rejects_rho_max_below_cloud_radius(run):
     cloud = synth_lidar(SynthParams(beams=4, points_per_ring=64))
     cfg = CodecConfig(system=SPHERICAL, q=0.5, rho_max=200.0)
     with pytest.raises(ConfigError, match="rho_max"):
+        run(cloud, cfg)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [encode_cloud, pipeline_reconstruct, empirical_error],
+    ids=["encode_cloud", "pipeline_reconstruct", "pipeline_pairing"],
+)
+@pytest.mark.parametrize("system", [SPHERICAL, CYLINDRICAL])
+def test_one_part_rejects_a_radius_beyond_the_lattice(run, system):
+    # ρ_max = 200 m and q = 0.5 give a depth-9 lattice whose last radial bin is
+    # 255.5 m; the ring near 400 m decoded there, clipped
+    cloud = synth_lidar(SynthParams(beams=4, points_per_ring=64))
+    cfg = CodecConfig(system=system, q=0.5, rho_max=200.0, parts=ONE_PART)
+    with pytest.raises(ConfigError, match="rho_max=200.0 smaller than cloud max radius"):
         run(cloud, cfg)
 
 

@@ -168,10 +168,16 @@ def test_analyze_reconstructs_once_with_unchanged_outputs(scan, tmp_path, monkey
     assert "coder" not in manifest["versions"]  # analyze codes nothing
 
 
-def test_analyze_rejects_rho_max_below_cloud_radius(scan):
+def test_analyze_rejects_rho_max_below_cloud_radius(scan, tmp_path):
     proc = run("analyze", scan, "--system", "spherical", "--depth", "9", "--rho-max", "100")
     assert proc.returncode == 2
     assert "smaller than cloud max radius" in proc.stderr
+    # one part too: --depth 9 spans ρ_max = 100 m with 511 steps, and the scan reaches about 400 m
+    flags = ("--system", "spherical", "--parts", "1", "--depth", "9", "--rho-max", "100")
+    for proc in (run("analyze", scan, *flags), run("encode", scan, tmp_path / "o.scp", *flags)):
+        assert proc.returncode == 2
+        assert "smaller than cloud max radius" in proc.stderr
+    assert not (tmp_path / "o.scp").exists()
 
 
 def test_exit_codes(scan, tmp_path):

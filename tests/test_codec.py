@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lidarpcc import codec, entropy, kernel
+from lidarpcc.analysis import combined_bound_sph
 from lidarpcc.codec import (
     CodecConfig,
     Container,
@@ -29,7 +30,7 @@ from lidarpcc.coords import (
     quantize,
 )
 from lidarpcc.errors import ConfigError, CorruptStreamError, FormatError
-from lidarpcc.octree import MultiLevelConfig, part_steps, partition_multilevel
+from lidarpcc.octree import MultiLevelConfig, NodeContext, part_steps, partition_multilevel
 from lidarpcc.pcio import PointCloud, SynthParams, synth_lidar
 
 ONE_PART = MultiLevelConfig(1, (0.0, 1.0))
@@ -107,6 +108,23 @@ def test_decode_reencode_is_idempotent_single_part():
     got = np.array(sorted(map(tuple, rec2.points.tolist())))
     want = np.array(sorted(map(tuple, rec.points.tolist())))
     np.testing.assert_allclose(got, want, rtol=0, atol=0)
+
+
+def test_depth_holds_the_radial_index_of_rho_max():
+    # ρ_max/q = 4096 needs 13 bits; ⌈log₂ 4096⌉ = 12 clipped a point at
+    # 511.99 m to the 511.875 m bin, 0.115 m inside its radius
+    q = 0.125
+    point = np.array([[511.99, 0.0, 0.0]])
+    container = encode_cloud(PointCloud(point), CodecConfig(system=SPHERICAL, q=q, rho_max=512.0, parts=ONE_PART))
+    assert container.depth == 13
+    rec = decode_cloud(container).points
+    assert abs(np.linalg.norm(rec) - 511.99) <= q / 2
+    assert np.linalg.norm(rec - point) <= combined_bound_sph(511.99, q, 512.0)
+    # the 64-beam sweep's ρ_max/q = 4095.0000000000005 keeps depth 12; ties round to even
+    for ratio, depth in ((4095.0000000000005, 12), (4095.4, 12), (4095.5, 13), (4096.0, 13),
+                         (2047.49, 11), (2048.0, 12), (1.4, 1), (1.5, 2), (2.5, 2)):
+        for system in (SPHERICAL, CYLINDRICAL):
+            assert derive_steps(system, q, PointCloud(point / 1e3), ratio * q).depth == depth, ratio
 
 
 def test_multi_part_reencode_guards_rho_max():
@@ -263,7 +281,8 @@ def test_huge_symbol_count_raises_corrupt(monkeypatch):
 def test_payload_bound_admits_the_cheapest_stream():
     # one context coding one symbol over and over: the cheapest symbols the model allows
     n = 200_000
-    payload = entropy.encode_adaptive(np.full(n, 7, dtype=np.uint8), np.zeros(n, dtype=np.int64))
+    ctx = NodeContext(1, 1, ((0, 0),) * 3, (0.5, 0.5, 0.5))
+    payload = entropy.encode(((7, ctx) for _ in range(n)), entropy.AdaptiveContextModel()).data
     assert codec._symbol_count_fault(n, 20, len(payload)) is None
     # the bound is within a factor 4 of it: count halving and the range // total
     # truncation keep each real symbol above the minimum cost

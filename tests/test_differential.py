@@ -1,12 +1,12 @@
-"""The codec's coders against the per-node reference path and each other.
+"""The compiled part kernel against the codec's per-node Python coder.
 
-The reference path is ``occupancy_stream`` + ``ContextCursor`` contexts coded
-symbol by symbol through ``entropy.encode``/``entropy.decode`` with an
-``AdaptiveContextModel``. The codec's Python coder (``encode_tree``,
-``decode_symbols``) and the compiled part kernel must both produce the same
-payload bytes, decode the same symbols, and reject the same corrupt inputs;
-the kernel's messages must match the Python coder's word for word. Kernel
-checks run whenever the kernel loads (not under ``--coder python``).
+The Python coder is the reference path: ``encode_tree``/``decode_symbols``
+code the ``occupancy_stream``/``ContextCursor`` contexts symbol by symbol
+through ``entropy`` with an ``AdaptiveContextModel``. The kernel must produce
+the same payload bytes, decode the same symbols and leaf codes, and reject the
+same corrupt inputs with the same messages, word for word. Kernel checks run
+whenever the kernel loads (not under ``--coder python``); the round trips and
+corrupt inputs also run on the Python coder alone.
 """
 
 import functools
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lidarpcc import entropy, kernel
+from lidarpcc import kernel
 from lidarpcc.codec import (
     MAGIC,
     CodecConfig,
@@ -42,39 +42,16 @@ from lidarpcc.coords import (
 )
 from lidarpcc.errors import CorruptStreamError, FormatError
 from lidarpcc.octree import (
-    ContextCursor,
     MultiLevelConfig,
     _deinterleave,
     build,
     leaf_indices,
-    level_contexts,
-    occupancy_stream,
     part_steps,
     partition_multilevel,
 )
 from lidarpcc.pcio import PointCloud
 
 ONE_PART = MultiLevelConfig(1, (0.0, 1.0))
-
-
-def _reference_symbols(payload: bytes, depth: int, count: int) -> np.ndarray:
-    """Per-node decode with the cursor, checked as the codec checked it before."""
-    cursor = ContextCursor(depth)
-    bs = entropy.Bitstream(payload, 8 * len(payload))
-    try:
-        symbols = entropy.decode(bs, entropy.AdaptiveContextModel(), cursor, count)
-    except IndexError:  # the cursor ran out of nodes: count exceeds the tree
-        raise CorruptStreamError("symbol count exceeds tree size") from None
-    if cursor.pending():
-        raise CorruptStreamError(f"{cursor.pending()} nodes left undecoded")
-    return symbols
-
-
-def _outcome(decoder, payload, depth, count):
-    try:
-        return decoder(payload, depth, count).tolist()
-    except CorruptStreamError:
-        return "corrupt"
 
 
 def _detailed_outcome(decoder, payload, depth, count):
@@ -118,23 +95,14 @@ def test_codec_matches_reference_path(case, data):
             continue
         depth = part_steps(steps, n).depth
         tree = build(quantize(part, part_steps(steps, n)))
-        stream = list(occupancy_stream(tree))
-        assert record.payload == entropy.encode(stream, entropy.AdaptiveContextModel()).data
-        assert encode_tree(tree) == record.payload
-
-        key, context_id = entropy.AdaptiveContextModel.context_key, entropy.AdaptiveContextModel.context_id
-        syms = [None] + [lv.symbols for lv in tree.levels[:-1]]
-        ids = np.concatenate([level_contexts(p, lvl) for lvl, p in enumerate(syms, start=1)])
-        assert ids.tolist() == [int(context_id(*key(ctx))) for _, ctx in stream]
-
         payload, count = record.payload, record.symbol_count
-        want = _reference_symbols(payload, depth, count)
-        np.testing.assert_array_equal(decode_symbols(payload, depth, count), want)
+        assert payload == encode_tree(tree)  # the reference, whichever coder the codec ran
+        np.testing.assert_array_equal(decode_symbols(payload, depth, count), tree.all_symbols())
         lib = kernel.load()
         if lib is not None:
             assert kernel.encode_part(lib, tree.all_symbols(), depth) == payload
             symbols, codes = kernel.decode_part(lib, payload, depth, count)
-            np.testing.assert_array_equal(symbols, want)
+            np.testing.assert_array_equal(symbols, tree.all_symbols())
             np.testing.assert_array_equal(_deinterleave(codes, depth), leaf_indices(tree))
 
         flipped = bytearray(payload)
@@ -148,30 +116,24 @@ def test_codec_matches_reference_path(case, data):
             (payload, count + k),
             (payload, max(count - k, 0)),
         ):
-            assert _outcome(decode_symbols, bad_payload, depth, bad_count) == _outcome(
-                _reference_symbols, bad_payload, depth, bad_count
-            )
+            python = _detailed_outcome(decode_symbols, bad_payload, depth, bad_count)
+            if bad_payload == payload:
+                wrong = "exceeds the tree's" if bad_count > count else "ends inside level"
+                assert python.startswith(f"corrupt: symbol count {bad_count} {wrong}")
             if lib is not None:
-                assert _detailed_outcome(_kernel_symbols, bad_payload, depth, bad_count) == _detailed_outcome(
-                    decode_symbols, bad_payload, depth, bad_count
-                )
+                assert _detailed_outcome(_kernel_symbols, bad_payload, depth, bad_count) == python
 
 
 def test_deep_levels_share_capped_contexts():
     # levels past AdaptiveContextModel.LEVEL_CAP (16) share their contexts;
-    # the hypothesis cases above stop at part depth 16
+    # the hypothesis cases above reach part depth 17 at most
     rng = np.random.default_rng(21)
     depth = 19
     indices = rng.integers(0, 1 << depth, size=(40, 3))
     steps = QuantSteps(CARTESIAN, 1.0, 0.0, 0.0, 1 << depth, depth, 0.0)
     tree = build(QuantizedCloud(indices, steps, len(indices)))
-    stream = list(occupancy_stream(tree))
-    key, context_id = entropy.AdaptiveContextModel.context_key, entropy.AdaptiveContextModel.context_id
-    syms = [None] + [lv.symbols for lv in tree.levels[:-1]]
-    ids = np.concatenate([level_contexts(p, lvl) for lvl, p in enumerate(syms, start=1)])
-    assert ids.tolist() == [int(context_id(*key(ctx))) for _, ctx in stream]
-    payload = entropy.encode(stream, entropy.AdaptiveContextModel()).data
-    assert encode_tree(tree) == payload
+    payload = encode_tree(tree)
+    np.testing.assert_array_equal(decode_symbols(payload, depth, tree.node_count), tree.all_symbols())
     lib = kernel.load()
     if lib is not None:
         assert kernel.encode_part(lib, tree.all_symbols(), depth) == payload

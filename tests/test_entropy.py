@@ -11,14 +11,11 @@ from lidarpcc.entropy import (
     _COUNT_CAP,
     _FREQ_TOTAL_CAP,
     AdaptiveContextModel,
-    AdaptiveDecoder,
     Bitstream,
     UniformModel,
     cross_entropy,
     decode,
     encode,
-    encode_adaptive,
-    quantize_pmf,
 )
 from lidarpcc.errors import CorruptStreamError
 from lidarpcc.octree import NodeContext
@@ -126,15 +123,6 @@ def test_bitstream_validates_bit_len():
 # ---------------------------------------------------------------------------
 
 
-def test_quantize_pmf_properties():
-    rng = np.random.default_rng(3)
-    p = rng.dirichlet(np.full(255, 0.05))
-    cum = quantize_pmf(p)
-    assert cum[0] == 0
-    assert (np.diff(cum) >= 1).all()  # every symbol codable
-    assert cum[255] <= _FREQ_TOTAL_CAP
-
-
 def test_fresh_adaptive_model_is_uniform():
     model = AdaptiveContextModel()
     p = model.predict(_ctx(0))
@@ -199,34 +187,6 @@ def test_rescaled_model_still_round_trips():
     bs = encode(pairs, _clone(model))
     out = decode(bs, _clone(model), [ctx] * len(symbols), len(symbols))
     assert out.tolist() == symbols
-
-
-def test_fused_coder_matches_reference_through_halving():
-    # 100,000 symbols in one context halve its counts twice (at 65,027 and
-    # 97,586 symbols); no benchmark context gets that far
-    rng = np.random.default_rng(12)
-    symbols = np.minimum(rng.geometric(0.05, size=100_000), 255).astype(np.uint8)
-    ctx = _ctx(3)
-    ref = encode([(int(s), ctx) for s in symbols], AdaptiveContextModel()).data
-    ctx_id = AdaptiveContextModel.context_id(*AdaptiveContextModel.context_key(ctx))
-    contexts = np.full(len(symbols), ctx_id, dtype=np.int64)
-    assert encode_adaptive(symbols, contexts) == ref
-    dec = AdaptiveDecoder(ref)
-    split = 70_000  # state carries over between batches
-    out = np.concatenate([dec.decode(contexts[:split]), dec.decode(contexts[split:])])
-    np.testing.assert_array_equal(out, symbols)
-
-
-def test_fused_coder_rejects_bad_input():
-    with pytest.raises(ValueError):
-        encode_adaptive(np.array([0, 3]), np.array([1, 1]))
-    with pytest.raises(ValueError):
-        encode_adaptive(np.array([3]), np.array([1, 1]))
-    payload = encode_adaptive(np.arange(1, 200), np.zeros(199, dtype=np.int64))
-    with pytest.raises(CorruptStreamError):
-        AdaptiveDecoder(payload[:10]).decode(np.zeros(199, dtype=np.int64))
-    with pytest.raises(CorruptStreamError):
-        AdaptiveDecoder(payload[:4])
 
 
 def _clone(model: AdaptiveContextModel) -> AdaptiveContextModel:
