@@ -160,9 +160,13 @@ def empirical_error(
 
     q = steps.q_primary
     n_parts = cfg.parts.n_parts
-    thresholds = cfg.parts.thresholds
     spherical = cfg.system == SPHERICAL
     excluded = 0
+    per_part = (
+        _part_stats(err, part_idx, q, cfg.parts.thresholds, n_parts, steps.rho_max, spherical)
+        if n_parts > 1
+        else None
+    )
 
     if cfg.system == CARTESIAN:
         bound = bound_cart(q)
@@ -175,21 +179,12 @@ def empirical_error(
         bound = float(b.max()) if len(b) else None
         util = float((err[eligible] / b[eligible]).max()) if eligible.any() else None
     elif spherical:
-        edges = [_exact_edge_bound(q, n, thresholds, steps.rho_max) for n in range(n_parts)]
-        bound = max(edges)
-        part_utils = [
-            float(err[part_idx == n].max()) / edges[n] for n in range(n_parts) if (part_idx == n).any()
-        ]
-        util = max(part_utils) if part_utils else None
+        bound = max(p.bound_edge for p in per_part)
+        util = max((p.utilization for p in per_part if p.count), default=None)
     else:  # cylindrical: no closed form in scope
         bound = None
         util = None
 
-    per_part = (
-        _part_stats(err, part_idx, q, thresholds, n_parts, steps.rho_max, spherical)
-        if n_parts > 1
-        else None
-    )
     return ErrorReport(
         cfg.system,
         q,

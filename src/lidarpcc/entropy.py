@@ -8,7 +8,8 @@ always zero (the decoder skips it and preloads the next four).
 
 Probabilities are coded as integer frequency tables over symbols 1..255 with
 every frequency ≥ 1 and total ≤ 2^16 − 255, so cumulative values always fit in
-16 bits.
+16 bits. A model is any object with ``coding_table(ctx)``, the length-256
+cumulative table FORMAT.md specifies, ``update(ctx, symbol)`` and ``predict(ctx)``.
 """
 
 from __future__ import annotations
@@ -38,29 +39,7 @@ class Bitstream:
             raise ValueError("bit_len exceeds payload size")
 
 
-class ProbabilityModel:
-    """Interface: predict a 255-way pmf per context, then learn the outcome.
-
-    ``coding_table`` is the integer view of the same prediction that the
-    range coder consumes.
-    """
-
-    def predict(self, ctx) -> np.ndarray:
-        raise NotImplementedError
-
-    def update(self, ctx, symbol: int) -> None:
-        raise NotImplementedError
-
-    def coding_table(self, ctx) -> np.ndarray:
-        """Length-256 cumulative frequencies: cum[0]=0, cum[s] covers symbols 1..s."""
-        raise NotImplementedError
-
-    def state_digest(self) -> str:
-        """Hash of the mutable state; encoder/decoder must agree after every symbol."""
-        return hashlib.sha256(b"stateless").hexdigest()
-
-
-class UniformModel(ProbabilityModel):
+class UniformModel:
     """Fixed 1/255 model; costs exactly log₂255 bits/symbol with this coder."""
 
     _CUM = np.concatenate([[0], np.cumsum(np.full(255, 256, dtype=np.int64))])
@@ -76,13 +55,13 @@ class UniformModel(ProbabilityModel):
         return self._CUM
 
 
-class AdaptiveContextModel(ProbabilityModel):
+class AdaptiveContextModel:
     """Laplace-smoothed frequency tables keyed by (parent byte, octant, capped level).
 
     p(s | ctx) = (count(s) + α) / (total + 255α) with α = 1. Counts halve once a
     context's smoothed total would exceed 2^16 − 255, keeping tables 16-bit.
-    The float position feature stays out of the key (it is not discrete) but
-    remains available on the contexts for richer models.
+    The key reads only the parent byte ``ctx.ancestors[0][0]``, ``ctx.octant``
+    and ``ctx.level``, the key of FORMAT.md §Probability model.
 
     This is the reference path and the codec's Python coder: the compiled
     part kernel keeps the same model per context, and the tests hold it byte
@@ -92,7 +71,7 @@ class AdaptiveContextModel(ProbabilityModel):
     LEVEL_CAP = 16
 
     def __init__(self):
-        self._tables: dict[tuple, list] = {}  # key -> [counts(255), total, cum|None]
+        self._tables: dict[tuple, list] = {}  # key -> [counts(255), total]
 
     @classmethod
     def context_key(cls, ctx) -> tuple:
@@ -102,12 +81,12 @@ class AdaptiveContextModel(ProbabilityModel):
         key = self.context_key(ctx)
         entry = self._tables.get(key)
         if entry is None:
-            entry = [np.zeros(255, dtype=np.int64), 0, None]
+            entry = [np.zeros(255, dtype=np.int64), 0]
             self._tables[key] = entry
         return entry
 
     def predict(self, ctx) -> np.ndarray:
-        counts, total, _ = self._entry(ctx)
+        counts, total = self._entry(ctx)
         return (counts + 1.0) / (total + 255.0)
 
     def update(self, ctx, symbol: int) -> None:
@@ -118,20 +97,17 @@ class AdaptiveContextModel(ProbabilityModel):
         if entry[1] > _COUNT_CAP:
             counts >>= 1
             entry[1] = int(counts.sum())
-        entry[2] = None
 
     def coding_table(self, ctx) -> np.ndarray:
-        entry = self._entry(ctx)
-        cum = entry[2]
-        if cum is None:
-            cum = np.empty(256, dtype=np.int64)
-            cum[0] = 0
-            np.cumsum(entry[0], out=cum[1:])
-            cum[1:] += _SMOOTH
-            entry[2] = cum
+        """Length-256 cumulative frequencies: cum[0]=0, cum[s] covers symbols 1..s."""
+        cum = np.empty(256, dtype=np.int64)
+        cum[0] = 0
+        np.cumsum(self._entry(ctx)[0], out=cum[1:])
+        cum[1:] += _SMOOTH
         return cum
 
     def state_digest(self) -> str:
+        """Hash of the counts; encoder and decoder agree after every symbol."""
         h = hashlib.sha256()
         for key in sorted(self._tables):
             h.update(repr(key).encode())
@@ -222,7 +198,7 @@ class _ListCursor:
         pass
 
 
-def encode(stream, model: ProbabilityModel) -> Bitstream:
+def encode(stream, model) -> Bitstream:
     """Range-code (symbol, context) pairs; the model adapts after each symbol."""
     enc = _RangeEncoder()
     for sym, ctx in stream:
@@ -237,7 +213,7 @@ def encode(stream, model: ProbabilityModel) -> Bitstream:
     return Bitstream(data, 8 * len(data))
 
 
-def decode(bs: Bitstream, model: ProbabilityModel, contexts, count: int) -> np.ndarray:
+def decode(bs: Bitstream, model, contexts, count: int) -> np.ndarray:
     """Exact inverse of :func:`encode`.
 
     ``contexts`` either follows the cursor protocol (next_context()/push(sym),
@@ -252,7 +228,7 @@ def decode(bs: Bitstream, model: ProbabilityModel, contexts, count: int) -> np.n
     return out
 
 
-def _decode_next(dec: _RangeDecoder, model: ProbabilityModel, cursor) -> int:
+def _decode_next(dec: _RangeDecoder, model, cursor) -> int:
     """Decode the symbol of the cursor's next context, then advance model and cursor."""
     ctx = cursor.next_context()
     cum = model.coding_table(ctx)
@@ -265,7 +241,7 @@ def _decode_next(dec: _RangeDecoder, model: ProbabilityModel, cursor) -> int:
     return sym
 
 
-def cross_entropy(stream, model: ProbabilityModel) -> float:
+def cross_entropy(stream, model) -> float:
     """−Σ log₂ p(symbolᵢ | ctxᵢ) in bits, updating the model exactly as encode does."""
     bits = 0.0
     for sym, ctx in stream:

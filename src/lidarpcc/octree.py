@@ -32,10 +32,10 @@ _OCTANTS_OF = tuple(tuple(c for c in range(8) if s >> c & 1) for s in range(256)
 class NodeContext(NamedTuple):
     """Causal description of a node, available to the decoder before its symbol."""
 
-    octant: int  # position within the parent, 1..8 (root: 1)
-    level: int  # 1..depth
-    ancestors: tuple  # ((occupancy, octant), ...) nearest first, 3 entries, zero-padded
-    position: tuple  # node-center coordinates normalized to [0,1] in the index cube
+    octant: int  # position within the parent, 1..8 (root: 1); the model reads it
+    level: int  # 1..depth; the model reads min(level, 16)
+    ancestors: tuple  # ((parent byte, parent octant),), root ((0, 0),); the model reads the byte
+    position: tuple | None = None  # no model reads it; the cursor leaves it unset
 
 
 @dataclass(frozen=True)
@@ -165,40 +165,32 @@ class ContextCursor:
     ``next_context()`` describes the node about to be coded; ``push(symbol)``
     commits its occupancy byte and schedules its children. The encoder and the
     decoder drive the same cursor, so both sides compute identical contexts.
+    A context holds only what the model keys on: the parent's byte and
+    octant, the node's octant and its level.
 
     ``codec.decode_symbols`` drives it when the compiled part kernel, which
     derives the same contexts from the parent bytes, is not in use.
     """
 
-    _ZERO_ANC = ((0, 0), (0, 0), (0, 0))
-
     def __init__(self, depth: int):
         self.depth = depth
-        # queue entries: (cx, cy, cz, level, octant, ancestors)
-        self._queue = deque([(0, 0, 0, 1, 1, self._ZERO_ANC)])
-
-    def __bool__(self) -> bool:
-        return bool(self._queue)
+        # queue entries: (level, octant, ancestors)
+        self._queue = deque([(1, 1, ((0, 0),))])
 
     def pending(self) -> int:
         return len(self._queue)
 
     def next_context(self) -> NodeContext:
-        cx, cy, cz, level, octant, anc = self._queue[0]
-        scale = 1.0 / (1 << (level - 1))
-        return NodeContext(
-            octant, level, anc, ((cx + 0.5) * scale, (cy + 0.5) * scale, (cz + 0.5) * scale)
-        )
+        level, octant, anc = self._queue[0]
+        return NodeContext(octant, level, anc)
 
     def push(self, symbol: int) -> None:
-        cx, cy, cz, level, octant, anc = self._queue.popleft()
+        level, octant, _ = self._queue.popleft()
         if level >= self.depth:
             return  # children are leaves, not coded
-        child_anc = ((symbol, octant), anc[0], anc[1])
-        cx, cy, cz = 2 * cx, 2 * cy, 2 * cz
-        append = self._queue.append
-        for c in _OCTANTS_OF[symbol]:
-            append((cx + (c >> 2), cy + ((c >> 1) & 1), cz + (c & 1), level + 1, c + 1, child_anc))
+        child_anc = ((symbol, octant),)
+        level += 1
+        self._queue.extend((level, c + 1, child_anc) for c in _OCTANTS_OF[symbol])
 
 
 def occupancy_stream(tree: Octree) -> Iterator[tuple[int, NodeContext]]:

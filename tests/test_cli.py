@@ -130,6 +130,16 @@ def test_bench_and_bdrate(scan, tmp_path):
     assert float(proc.stdout.split("=")[1]) == pytest.approx(0.0, abs=1e-6)
 
 
+def test_bench_workers_write_the_serial_csv(scan, tmp_path):
+    serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+    for path, workers in ((serial, 1), (pooled, 2)):
+        proc = run("bench", scan, path, "--systems", "cartesian,spherical", "--depths", "8,10",
+                   "--convention", "raw", "--workers", workers)
+        assert proc.returncode == 0, proc.stderr
+    assert pooled.read_bytes() == serial.read_bytes()
+    assert len(serial.read_text().splitlines()) == 5
+
+
 def test_bench_builds_parts_as_encode_does(scan, tmp_path):
     enc = run("encode", scan, tmp_path / "p.scp", "--system", "spherical", "--depth", "9",
               "--convention", "raw", "--parts", 2)

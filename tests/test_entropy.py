@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from lidarpcc.entropy import (
@@ -168,7 +168,7 @@ def test_count_rescale_keeps_tables_16bit():
     ctx = _ctx(0)
     for _ in range(_COUNT_CAP + 10):
         model.update(ctx, 3)
-    counts, total, _ = model._tables[AdaptiveContextModel.context_key(ctx)]
+    counts, total = model._tables[AdaptiveContextModel.context_key(ctx)]
     assert total == int(counts.sum())
     assert total <= _COUNT_CAP
     assert model.coding_table(ctx)[255] <= _FREQ_TOTAL_CAP
@@ -191,6 +191,6 @@ def test_rescaled_model_still_round_trips():
 
 def _clone(model: AdaptiveContextModel) -> AdaptiveContextModel:
     other = AdaptiveContextModel()
-    for key, (counts, total, _) in model._tables.items():
-        other._tables[key] = [counts.copy(), total, None]
+    for key, (counts, total) in model._tables.items():
+        other._tables[key] = [counts.copy(), total]
     return other

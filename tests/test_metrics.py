@@ -26,7 +26,6 @@ from lidarpcc.metrics import (
     estimate_normals,
     nn_distances,
 )
-from lidarpcc.pcio import PointCloud
 
 
 def _brute_nn(query, ref):

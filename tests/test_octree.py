@@ -184,10 +184,8 @@ def test_context_fields_are_causal_and_bounded():
     for sym, ctx in occupancy_stream(tree):
         assert 1 <= ctx.octant <= 8
         assert 1 <= ctx.level <= 4
-        assert len(ctx.ancestors) == 3
-        for occ, octant in ctx.ancestors:
-            assert 0 <= occ <= 255 and 0 <= octant <= 8
-        assert all(0.0 <= c <= 1.0 for c in ctx.position)
+        ((occ, octant),) = ctx.ancestors
+        assert 0 <= occ <= 255 and 0 <= octant <= 8
         seen_levels.append(ctx.level)
     assert seen_levels == sorted(seen_levels)  # breadth-first
     assert seen_levels[0] == 1
@@ -197,8 +195,7 @@ def test_root_context_is_zero_padded():
     tree = build(_qc([[0, 1, 2]], 2))
     _, ctx = next(occupancy_stream(tree))
     assert ctx.octant == 1 and ctx.level == 1
-    assert ctx.ancestors == ((0, 0), (0, 0), (0, 0))
-    assert ctx.position == (0.5, 0.5, 0.5)
+    assert ctx.ancestors == ((0, 0),)
 
 
 def test_ancestor_chain_nearest_first():
@@ -208,8 +205,6 @@ def test_ancestor_chain_nearest_first():
     syms = [s for s, _ in stream]
     _, ctx3 = stream[2]
     assert ctx3.ancestors[0][0] == syms[1]
-    assert ctx3.ancestors[1][0] == syms[0]
-    assert ctx3.ancestors[2] == (0, 0)
 
 
 def test_cursor_decoder_side_matches_encoder_side():
