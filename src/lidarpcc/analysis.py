@@ -30,6 +30,7 @@ from .codec import CodecConfig, pipeline_reconstruct
 from .coords import CARTESIAN, SPHERICAL, radial_coord
 from .errors import ConfigError
 from .metrics import nn_distances
+from .octree import MultiLevelConfig
 from .pcio import PointCloud, write_ply
 
 _SQRT3 = math.sqrt(3.0)
@@ -41,7 +42,7 @@ INNER_EXCLUSION = 0.05
 #: multiplicative allowance on the small-angle bounds in empirical checks
 SMALL_ANGLE_SLACK = 1.01
 
-_DEFAULT_THRESHOLDS = (0.0, 0.25, 0.5, 1.0)
+_DEFAULT_THRESHOLDS = MultiLevelConfig().thresholds
 
 
 def bound_cart(q: float) -> float:

@@ -148,7 +148,7 @@ def _add_codec_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _part_layout(system: str, parts: int | None, thresholds: str | None) -> MultiLevelConfig:
-    """Radial parts from --parts/--thresholds: defaults 3 (cartesian 1), edges (0, ¼, ½)."""
+    """Radial parts from --parts/--thresholds; the default is ``MultiLevelConfig()``, or one part for cartesian."""
     if thresholds is not None:
         try:
             inner = tuple(float(v) for v in thresholds.split(","))
@@ -157,12 +157,13 @@ def _part_layout(system: str, parts: int | None, thresholds: str | None) -> Mult
         if parts is not None and parts != len(inner):
             raise ConfigError(f"--parts {parts} disagrees with {len(inner)} threshold values")
         return MultiLevelConfig(len(inner), inner + (1.0,))
-    n = parts if parts is not None else (1 if system == CARTESIAN else 3)
+    default = MultiLevelConfig()
+    n = parts if parts is not None else (1 if system == CARTESIAN else default.n_parts)
     if n == 1:
         return MultiLevelConfig(1, (0.0, 1.0))
-    if n == 3:
-        return MultiLevelConfig(3, (0.0, 0.25, 0.5, 1.0))
-    raise ConfigError("--thresholds is required when --parts is not 1 or 3")
+    if n == default.n_parts:
+        return default
+    raise ConfigError(f"--thresholds is required when --parts is not 1 or {default.n_parts}")
 
 
 def _codec_config(args) -> CodecConfig:

@@ -28,9 +28,9 @@ from .coords import (
     SYSTEMS,
     QuantizedCloud,
     QuantSteps,
-    angle_steps,
     dequantize,
     derive_steps,
+    lattice_steps,
     quantize,
     radial_coord,
     reconstruct_points,
@@ -183,13 +183,7 @@ class Container:
 
     def base_steps(self) -> QuantSteps:
         """Recover the encoder's QuantSteps from header fields alone."""
-        if self.system == CARTESIAN:
-            return QuantSteps(self.system, self.q, 0.0, 0.0, 1 << self.depth, self.depth,
-                              0.0, tuple(self.origin_offset))
-        bins = math.ceil(self.rho_max / self.q)
-        q_theta, q_phi = angle_steps(bins, self.q)
-        return QuantSteps(self.system, self.q, q_theta, q_phi if self.system == SPHERICAL else 0.0,
-                          bins, self.depth, self.rho_max, tuple(self.origin_offset))
+        return lattice_steps(self.system, self.q, self.rho_max, self.depth, self.origin_offset)
 
     def to_bytes(self) -> bytes:
         head = bytearray()
@@ -290,10 +284,10 @@ def decode_symbols(payload: bytes, depth: int, symbol_count: int) -> np.ndarray:
     return np.frombuffer(out, dtype=np.uint8)
 
 
-def encode_cloud(cloud: PointCloud, cfg: CodecConfig) -> Container:
-    """Quantize each radial part, code its octree, and pack the container."""
+def _header_lattice(cloud: PointCloud, cfg: CodecConfig) -> tuple[QuantSteps, tuple]:
+    """The base steps and thresholds the header will carry; refused unless they decode."""
     if len(cloud) == 0:
-        raise ConfigError("cannot encode an empty cloud")
+        raise ConfigError("cannot quantize an empty cloud")
     q, rho_override = resolve_step(cfg, cloud)
     steps = derive_steps(cfg.system, q, cloud, rho_override)
     thresholds = cfg.parts.thresholds[: cfg.parts.n_parts]
@@ -301,6 +295,12 @@ def encode_cloud(cloud: PointCloud, cfg: CodecConfig) -> Container:
                           np.asarray(thresholds, dtype=np.float32).tolist())  # as the header stores them
     if fault:
         raise ConfigError(f"configuration gives an undecodable header: {fault}")
+    return steps, thresholds
+
+
+def encode_cloud(cloud: PointCloud, cfg: CodecConfig) -> Container:
+    """Quantize each radial part, code its octree, and pack the container."""
+    steps, thresholds = _header_lattice(cloud, cfg)
     parts = partition_multilevel(cloud, cfg.parts, steps.rho_max, cfg.system)
     lib = kernel.load()
     records = []
@@ -370,13 +370,10 @@ def pipeline_reconstruct(cloud: PointCloud, cfg: CodecConfig) -> tuple[np.ndarra
 
     Returns (reconstructed points, part index per point, base steps). This is
     the pairing the closed-form error bounds are stated over; the container
-    path loses it by merging duplicate voxels. Parts are assigned as the
-    encoder assigns them, so the same ``rho_max`` checks apply.
+    path loses it by merging duplicate voxels. It builds and checks the lattice
+    and assigns parts as :func:`encode_cloud` does, so it refuses the same input.
     """
-    if len(cloud) == 0:
-        raise ConfigError("empty cloud")
-    q, rho_override = resolve_step(cfg, cloud)
-    steps = derive_steps(cfg.system, q, cloud, rho_override)
+    steps, _ = _header_lattice(cloud, cfg)
     part_idx = part_assignment(cloud.points, cfg.parts, steps.rho_max, cfg.system)
     recon = np.empty_like(cloud.points)
     for n in range(cfg.parts.n_parts):

@@ -115,19 +115,27 @@ class QuantizedCloud:
         object.__setattr__(self, "indices", idx)
 
 
-def angle_steps(bins: int, q: float) -> tuple[float, float]:
-    """(q_θ, q_φ) for ``bins`` radial bins: 2π/(b−1) and π/(b−1)."""
+def lattice_steps(system: str, q: float, rho_max: float, depth: int, origin) -> QuantSteps:
+    """The lattice a header's fields define (FORMAT.md §Quantization lattice).
+
+    The angle systems take b = ⌈ρ_max/q⌉ radial bins, q_θ = 2π/(b−1) and
+    q_φ = π/(b−1); Cartesian ignores ρ_max.
+    """
+    if system == CARTESIAN:
+        return QuantSteps(system, q, 0.0, 0.0, 1 << depth, depth, 0.0, tuple(origin))
+    bins = math.ceil(rho_max / q) if rho_max > 0 else 0
     if bins < 2:
         raise ConfigError(f"quantization step too coarse: q={q} gives {bins} radial bin(s)")
-    return 2.0 * np.pi / (bins - 1), np.pi / (bins - 1)
+    q_phi = np.pi / (bins - 1) if system == SPHERICAL else 0.0
+    return QuantSteps(system, q, 2.0 * np.pi / (bins - 1), q_phi, bins, depth, rho_max, tuple(origin))
 
 
 def derive_steps(system: str, q: float, cloud: PointCloud, rho_max: float | None = None) -> QuantSteps:
-    """Choose steps and octree depth for a cloud.
+    """Measure a cloud's header fields and return their :func:`lattice_steps`.
 
     ``rho_max`` defaults to the measured maximum radius in the chosen system
     (ignored for Cartesian, where the bounding box rules). The octree depth is
-    the smallest D whose 2^D cube covers every index.
+    the bit length of the largest index on any axis, at least 1.
     """
     if system not in SYSTEMS:
         raise ConfigError(f"unknown coordinate system '{system}'")
@@ -138,28 +146,22 @@ def derive_steps(system: str, q: float, cloud: PointCloud, rho_max: float | None
     pts = cloud.points
 
     if system == CARTESIAN:
-        mins = pts.min(axis=0)
-        extent = pts.max(axis=0) - mins
-        lattice = int(np.round(extent / q).max()) + 1
-        depth = max(1, math.ceil(math.log2(max(lattice, 2))))
-        return QuantSteps(system, q, 0.0, 0.0, max(lattice, 2), depth, 0.0, tuple(mins))
+        origin = pts.min(axis=0)
+        top = np.round((pts.max(axis=0) - origin) / q).max()
+        return lattice_steps(system, q, 0.0, max(1, int(top).bit_length()), origin)
 
-    radii = radial_coord(pts, system)
     if rho_max is None:
-        rho_max = float(radii.max())
+        rho_max = float(radial_coord(pts, system).max())
     if not math.isfinite(rho_max):
         raise ConfigError(f"rho_max must be finite, got {rho_max}")
-    bins = math.ceil(rho_max / q) if rho_max > 0 else 0
-    q_theta, q_phi = angle_steps(bins, q)
-    # the largest index on any axis is the radial one of ρ_max (the angles'
-    # are bins − 1 at most), so the depth is the bit length of round(ρ_max/q)
-    depth = max(1, int(np.round(rho_max / q)).bit_length())
+    # the largest radial index is round(ρ_max/q); an angle index is at most bins − 1
+    top = np.round(rho_max / q)
+    origin = (0.0, 0.0, 0.0)
     if system == CYLINDRICAL:
         z_min = float(pts[:, 2].min())
-        z_lattice = int(np.round((pts[:, 2].max() - z_min) / q)) + 1
-        depth = max(depth, math.ceil(math.log2(max(z_lattice, 2))))
-        return QuantSteps(system, q, q_theta, 0.0, bins, depth, rho_max, (0.0, 0.0, z_min))
-    return QuantSteps(system, q, q_theta, q_phi, bins, depth, rho_max)
+        top = max(top, np.round((pts[:, 2].max() - z_min) / q))
+        origin = (0.0, 0.0, z_min)
+    return lattice_steps(system, q, rho_max, max(1, int(top).bit_length()), origin)
 
 
 def transform_points(points: np.ndarray, steps: QuantSteps) -> np.ndarray:
@@ -200,8 +202,9 @@ def quantize(cloud: PointCloud, steps: QuantSteps) -> QuantizedCloud:
     if 3 * d > 63:
         raise ConfigError(f"depth {d} exceeds the 21 levels an int64 index key holds")
     idx = _lattice_indices(cloud.points, steps)
-    # one 1-D sort on the key x‖y‖z orders rows as np.unique(axis=0) would
-    key = np.unique(idx[:, 0] << 2 * d | idx[:, 1] << d | idx[:, 2])
+    # sorted x‖y‖z keys order rows as np.unique(axis=0) would; keys are ≥ 0, so a prepended −1 keeps the first
+    key = np.sort(idx[:, 0] << 2 * d | idx[:, 1] << d | idx[:, 2])
+    key = key[np.diff(key, prepend=-1) != 0]
     mask = (1 << d) - 1
     idx = np.stack([key >> 2 * d, key >> d & mask, key & mask], axis=1)
     return QuantizedCloud(idx, steps, len(cloud))

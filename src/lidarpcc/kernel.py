@@ -6,8 +6,8 @@ reference path, do, contexts included, and expands the decoded tree to its
 leaf Morton codes. :func:`load` compiles the C source with the system ``cc``
 into a per-user cache the first time a coder asks for it; without a compiler,
 or without a cache directory private to the user, it returns None and the
-codec falls back to that reference path, which writes the same bytes at
-14–17 µs per symbol.
+codec falls back to that reference path, which codes the same bytes 150–300
+times slower per symbol (README, *Speed*).
 """
 
 from __future__ import annotations

@@ -111,11 +111,7 @@ def build(qc: QuantizedCloud) -> Octree:
         raise ConfigError(f"octree depth {depth} outside [1, {MAX_DEPTH}]")
     if len(qc.indices) == 0:
         raise ValueError("cannot build an octree over an empty index set")
-    hi = (1 << depth) - 1
-    if qc.indices.min() < 0 or qc.indices.max() > hi:
-        raise ValueError(f"index outside [0, {hi}] for depth {depth}")
-    codes = np.sort(_interleave(qc.indices, depth))
-    u = codes[np.r_[True, codes[1:] != codes[:-1]]]  # occupied leaf cells
+    u = np.sort(_interleave(qc.indices, depth))  # leaf cells; reduceat merges a repeat
     levels = []
     for _ in range(depth):  # bottom-up: u holds the occupied children of this level's nodes
         parents = u >> 3
@@ -165,8 +161,9 @@ class ContextCursor:
     ``next_context()`` describes the node about to be coded; ``push(symbol)``
     commits its occupancy byte and schedules its children. The encoder and the
     decoder drive the same cursor, so both sides compute identical contexts.
-    A context holds only what the model keys on: the parent's byte and
-    octant, the node's octant and its level.
+    The model keys on the parent's byte, the node's octant and its level; the
+    parent's octant rides along in ``ancestors[0][1]``, as ``NodeContext``
+    documents, and no model reads it.
 
     ``codec.decode_symbols`` drives it when the compiled part kernel, which
     derives the same contexts from the parent bytes, is not in use.

@@ -186,6 +186,19 @@ def test_one_part_rejects_a_radius_beyond_the_lattice(run, system):
         run(cloud, cfg)
 
 
+@pytest.mark.parametrize(
+    "run",
+    [encode_cloud, pipeline_reconstruct, empirical_error],
+    ids=["encode_cloud", "pipeline_reconstruct", "pipeline_pairing"],
+)
+def test_refuses_an_undecodable_header(run):
+    # base depth 20 with 3 parts needs 22 octree levels; the error analysis ran on it
+    cloud = synth_lidar(SynthParams(beams=8, points_per_ring=128))
+    cfg = CodecConfig(system=SPHERICAL, depth=20, convention="kitti")
+    with pytest.raises(ConfigError, match="undecodable header: depth 20 with 3 parts"):
+        run(cloud, cfg)
+
+
 def test_cylindrical_report_has_no_closed_form():
     cloud = _cloud(n=500)
     cfg = CodecConfig(system=CYLINDRICAL, depth=10, parts=ONE_PART, rho_max=160.0)

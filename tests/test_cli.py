@@ -190,6 +190,18 @@ def test_analyze_rejects_rho_max_below_cloud_radius(scan, tmp_path):
     assert not (tmp_path / "o.scp").exists()
 
 
+def test_analyze_refuses_what_encode_refuses(scan, tmp_path):
+    # depth 20 with 3 parts exceeds the octree levels a header may describe
+    flags = ("--system", "spherical", "--depth", "20", "--convention", "kitti")
+    out = tmp_path / "out"
+    out.mkdir()
+    for proc in (run("analyze", scan, *flags, "--ply", out / "e.ply", "--hist", out / "e.csv"),
+                 run("encode", scan, out / "o.scp", *flags)):
+        assert proc.returncode == 2
+        assert "undecodable header: depth 20 with 3 parts" in proc.stderr
+    assert list(out.iterdir()) == []
+
+
 def test_exit_codes(scan, tmp_path):
     assert run("--help").returncode == 0
     assert run("frobnicate").returncode == 1

@@ -127,6 +127,17 @@ def test_depth_holds_the_radial_index_of_rho_max():
             assert derive_steps(system, q, PointCloud(point / 1e3), ratio * q).depth == depth, ratio
 
 
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_decoder_rebuilds_the_encoders_steps(system):
+    # the header alone reproduces the lattice; Cartesian bins were the lattice
+    # size (201 here) on the encoder side and 2^depth (256) on the decoder's
+    cloud = _cloud()
+    cfg = CodecConfig(system=system, q=0.5, parts=ONE_PART if system == CARTESIAN else MultiLevelConfig())
+    q, rho_override = resolve_step(cfg, cloud)
+    steps = derive_steps(system, q, cloud, rho_override)
+    assert Container.from_bytes(encode_cloud(cloud, cfg).to_bytes()).base_steps() == steps
+
+
 def test_multi_part_reencode_guards_rho_max():
     # radial indices may round up to bins·q > rho_max, so re-partitioning the
     # decoded centers against the original rho_max is rejected, not mis-binned

@@ -128,12 +128,13 @@ def test_non_finite_rho_max_is_rejected_by_name(system, rho_max):
 
 
 def test_cartesian_steps_cover_bbox():
-    pts = np.array([[0.0, 0.0, 0.0], [12.7, 3.0, -4.0]])
-    st_ = derive_steps(CARTESIAN, 0.1, PointCloud(pts))
-    assert st_.origin_offset == (0.0, 0.0, -4.0)
-    # 12.7 m extent at 0.1 m steps → 128 cells → depth 7
-    assert st_.depth == 7
-    np.testing.assert_array_equal(st_.step_vector(), [0.1, 0.1, 0.1])
+    # 12.7 m extent at 0.1 m steps → largest index 127 = 2^7 − 1 → depth 7; index 2^k needs k + 1
+    for x, depth in ((12.7, 7), (12.8, 8), (25.5, 8), (25.6, 9)):
+        pts = np.array([[0.0, 0.0, 0.0], [x, 3.0, -4.0]])
+        st_ = derive_steps(CARTESIAN, 0.1, PointCloud(pts))
+        assert st_.origin_offset == (0.0, 0.0, -4.0)
+        assert st_.depth == depth, x
+        np.testing.assert_array_equal(st_.step_vector(), [0.1, 0.1, 0.1])
 
 
 def test_cylindrical_depth_covers_z():
@@ -147,6 +148,10 @@ def test_cylindrical_depth_covers_z():
     rec = dequantize(qc)
     d = np.abs(rec.points[:, 2][None, :] - pts[:, 2][:, None]).min(axis=1)
     assert d.max() <= 0.25 + 1e-12
+    # largest z index 2^k − 1 gives depth k, and 2^k gives k + 1
+    for top, depth in ((255, 8), (256, 9), (1023, 10), (1024, 11)):
+        pts = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, top * 0.5]])
+        assert derive_steps(CYLINDRICAL, 0.5, PointCloud(pts)).depth == depth, top
 
 
 def test_invalid_inputs():
@@ -191,6 +196,13 @@ def test_quantize_rejects_depth_beyond_index_key():
     cloud = PointCloud(np.array([[1.0, 2.0, 3.0]]))
     with pytest.raises(ConfigError, match="depth 22"):
         quantize(cloud, QuantSteps(CARTESIAN, 1.0, 0.0, 0.0, 1 << 22, 22, 0.0))
+
+
+def test_quantize_empty_cloud():
+    steps = QuantSteps(CARTESIAN, 1.0, 0.0, 0.0, 16, 4, 0.0)
+    qc = quantize(PointCloud(np.empty((0, 3))), steps)
+    assert qc.indices.shape == (0, 3)
+    assert qc.original_count == 0
 
 
 def test_quantize_merges_duplicates():

@@ -205,6 +205,9 @@ def test_ancestor_chain_nearest_first():
     syms = [s for s, _ in stream]
     _, ctx3 = stream[2]
     assert ctx3.ancestors[0][0] == syms[1]
+    # each node carries its parent's (byte, octant); the root's is (0, 0)
+    assert syms == [128, 128, 128]
+    assert [ctx.ancestors for _, ctx in stream] == [((0, 0),), ((128, 1),), ((128, 8),)]
 
 
 def test_cursor_decoder_side_matches_encoder_side():
