@@ -29,7 +29,6 @@ import numpy as np
 from .codec import CodecConfig, pipeline_reconstruct
 from .coords import CARTESIAN, SPHERICAL, radial_coord
 from .errors import ConfigError
-from .metrics import nn_distances
 from .octree import MultiLevelConfig
 from .pcio import PointCloud, write_ply
 
@@ -103,7 +102,7 @@ class PartErrorStats:
 class ErrorReport:
     system: str
     q: float
-    pairing: str  # "pipeline" (row-aligned) or "nearest" (flagged fallback)
+    pairing: str  # "pipeline": each point against its own voxel centre
     max_error: float
     mean_error: float
     bound: float | None
@@ -136,28 +135,20 @@ def _part_stats(err, part_idx, q, thresholds, n_parts, rho_max, spherical) -> tu
 def empirical_error(
     cloud: PointCloud,
     cfg: CodecConfig,
-    rec: PointCloud | None = None,
     keep_per_point: bool = False,
     reconstruction: tuple | None = None,
 ) -> ErrorReport:
     """Per-point reconstruction error against the applicable bound.
 
-    With no `rec`, points are re-quantized in place so each original is paired
-    with its own voxel center — the pairing the bounds are stated over. Passing
-    an already-decoded cloud loses that pairing (duplicate voxels merge), so
-    errors fall back to nearest-neighbor distances and the report says so.
-    `reconstruction` is ``pipeline_reconstruct(cloud, cfg)``, for a caller
-    that has computed it already.
+    Points are re-quantized in place, so each original is paired with its own
+    voxel center, the pairing the bounds are stated over. `reconstruction` is
+    ``pipeline_reconstruct(cloud, cfg)``, for a caller that has computed it
+    already.
     """
     if reconstruction is None:
         reconstruction = pipeline_reconstruct(cloud, cfg)
     recon, part_idx, steps = reconstruction
-    if rec is None:
-        err = np.linalg.norm(cloud.points - recon, axis=1)
-        pairing = "pipeline"
-    else:
-        err, _ = nn_distances(cloud.points, rec.points)
-        pairing = "nearest"
+    err = np.linalg.norm(cloud.points - recon, axis=1)
 
     q = steps.q_primary
     n_parts = cfg.parts.n_parts
@@ -189,7 +180,7 @@ def empirical_error(
     return ErrorReport(
         cfg.system,
         q,
-        pairing,
+        "pipeline",
         float(err.max()),
         float(err.mean()),
         bound,

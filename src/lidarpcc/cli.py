@@ -1,24 +1,26 @@
 """Command-line front end: encode, decode, metrics, analyze, bdrate, synth, bench.
 
-Every command that writes files also drops a JSON run manifest next to its
-primary output (override with --manifest): the exact argv, the resolved
-config, sha256 of each input, produced outputs, per-stage wall-clock seconds,
-library versions, and, for encode, decode and bench, the coder the codec
-ran ("c" or "python"). Exit
-codes: 0 success, 1 usage, 2 I/O or format problems, 3 corrupt bitstream.
+Each command returns a :class:`RunRecord` of what it read and wrote, and
+:func:`main` writes it as a JSON run manifest to --manifest, else next to the
+first output, else nowhere: the exact argv, the resolved config, sha256 of
+each input, produced outputs, per-stage wall-clock seconds, library versions
+with numpy's SIMD dispatch, and, for encode, decode and bench, the coder the
+codec ran ("c" or "python"). Exit codes: 0 success, 1 usage, 2 I/O or format
+problems, 3 corrupt bitstream.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import json
 import math
 import platform
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy
@@ -78,21 +80,32 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(path, args, config: dict, inputs, outputs, stages, coder=False) -> None:
-    """Write the run manifest; ``coder`` adds the coder the codec ran, for commands that code."""
+@dataclass(frozen=True)
+class RunRecord:
+    """What a command ran: its resolved config, the files it read and wrote, and whether it coded."""
+
+    config: dict
+    inputs: tuple = ()
+    outputs: tuple = ()
+    coded: bool = False
+
+
+def _write_manifest(path, argv, run: RunRecord, stages: dict) -> None:
     versions = {
         "python": platform.python_version(),
         "numpy": np.__version__,
+        # the angle systems' indices follow numpy's trig kernels (FORMAT.md, Determinism)
+        "numpy_simd": np.show_config(mode="dicts")["SIMD Extensions"]["found"],
         "scipy": scipy.__version__,
         "lidarpcc": __version__,
     }
-    if coder:
+    if run.coded:
         versions["coder"] = kernel.coder_name()
     doc = {
-        "command": ["lidarpcc"] + list(args._argv),
-        "config": config,
-        "inputs": {str(p): _sha256(p) for p in inputs},
-        "outputs": [str(o) for o in outputs],
+        "command": ["lidarpcc"] + argv,
+        "config": run.config,
+        "inputs": {str(p): _sha256(p) for p in run.inputs},
+        "outputs": [str(o) for o in run.outputs],
         "stages": stages,
         "versions": versions,
     }
@@ -101,31 +114,23 @@ def _write_manifest(path, args, config: dict, inputs, outputs, stages, coder=Fal
         fh.write("\n")
 
 
-def _manifest_path(args, primary_output):
-    if args.manifest is not None:
-        return args.manifest
-    if primary_output is None:
-        return None
-    return str(primary_output) + ".manifest.json"
+_CLOUD_FORMATS = {".bin": (read_kitti_bin, write_kitti_bin), ".ply": (read_ply, write_ply)}
 
 
-def _read_cloud(path) -> PointCloud:
-    s = str(path)
-    if s.endswith(".bin"):
-        return read_kitti_bin(path)
-    if s.endswith(".ply"):
-        return read_ply(path)
+def _cloud_format(path):
+    """The (reader, writer) pair for a point-cloud path's extension."""
+    for ext, fns in _CLOUD_FORMATS.items():
+        if str(path).endswith(ext):
+            return fns
     raise FormatError(f"{path}: unsupported point-cloud extension (use .bin or .ply)")
 
 
+def _read_cloud(path) -> PointCloud:
+    return _cloud_format(path)[0](path)
+
+
 def _write_cloud(cloud: PointCloud, path) -> None:
-    s = str(path)
-    if s.endswith(".bin"):
-        write_kitti_bin(cloud, path)
-    elif s.endswith(".ply"):
-        write_ply(cloud, path)
-    else:
-        raise FormatError(f"{path}: unsupported point-cloud extension (use .bin or .ply)")
+    _cloud_format(path)[1](cloud, path)
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +187,7 @@ def _codec_config(args) -> CodecConfig:
 # ---------------------------------------------------------------------------
 
 
-def cmd_encode(args) -> int:
-    stages = {}
+def cmd_encode(args, stages) -> RunRecord:
     with _stage(stages, "read"):
         cloud = _read_cloud(args.input)
     cfg = _codec_config(args)
@@ -197,14 +201,10 @@ def cmd_encode(args) -> int:
         f"encoded {len(cloud)} points -> {container.nbytes} bytes "
         f"({_G % bpp} bpp, {container.n_parts} parts, depth {container.depth})"
     )
-    mpath = _manifest_path(args, args.output)
-    if mpath:
-        _write_manifest(mpath, args, asdict(cfg), [args.input], [args.output], stages, coder=True)
-    return 0
+    return RunRecord(asdict(cfg), (args.input,), (args.output,), coded=True)
 
 
-def cmd_decode(args) -> int:
-    stages = {}
+def cmd_decode(args, stages) -> RunRecord:
     with _stage(stages, "read"):
         with open(args.input, "rb") as fh:
             container = Container.from_bytes(fh.read())
@@ -213,23 +213,15 @@ def cmd_decode(args) -> int:
     with _stage(stages, "write"):
         _write_cloud(cloud, args.output)
     print(f"decoded {len(cloud)} voxel centers (originally {container.original_count} points)")
-    mpath = _manifest_path(args, args.output)
-    if mpath:
-        cfg = {"system": container.system, "depth": container.depth, "q": container.q}
-        _write_manifest(mpath, args, cfg, [args.input], [args.output], stages, coder=True)
-    return 0
+    cfg = {"system": container.system, "depth": container.depth, "q": container.q}
+    return RunRecord(cfg, (args.input,), (args.output,), coded=True)
 
 
-def _metric_config(args) -> MetricConfig:
-    return MetricConfig(args.peak, args.psnr_convention, args.knn_k, args.cd_convention)
-
-
-def cmd_metrics(args) -> int:
-    stages = {}
+def cmd_metrics(args, stages) -> RunRecord:
     with _stage(stages, "read"):
         ref = _read_cloud(args.reference)
         rec = _read_cloud(args.reconstruction)
-    cfg = _metric_config(args)
+    cfg = MetricConfig(args.peak, args.psnr_convention, args.knn_k, args.cd_convention)
     rate = args.bpp
     if args.container is not None:
         with open(args.container, "rb") as fh:
@@ -249,24 +241,18 @@ def cmd_metrics(args) -> int:
         if args.csv:
             report_to_csv(report, args.csv)
             outputs.append(args.csv)
-    mpath = _manifest_path(args, outputs[0] if outputs else None)
-    if mpath:
-        inputs = [args.reference, args.reconstruction]
-        if args.container is not None:
-            inputs.append(args.container)
-        _write_manifest(mpath, args, asdict(cfg), inputs, outputs, stages)
-    return 0
+    inputs = tuple(p for p in (args.reference, args.reconstruction, args.container) if p is not None)
+    return RunRecord(asdict(cfg), inputs, tuple(outputs))
 
 
-def cmd_analyze(args) -> int:
-    stages = {}
+def cmd_analyze(args, stages) -> RunRecord | None:
     if args.crossover:
         rho_max = args.rho_max if args.rho_max is not None else 1.0
         radii = crossover_radii([2**n for n in range(args.parts or 3)], rho_max)
         unit = "m" if args.rho_max is not None else "fraction of rho_max"
         print(f"crossover radii ({unit}): " + " ".join(_G % r for r in radii))
         if args.input is None:
-            return 0
+            return None
     if args.input is None:
         raise ConfigError("analyze needs an input cloud (or --crossover alone)")
     with _stage(stages, "read"):
@@ -289,25 +275,18 @@ def cmd_analyze(args) -> int:
             if ps.utilization is not None:
                 line += f" util={_G % ps.utilization}"
         print(line)
-    outputs = []
+    outputs = ()
     with _stage(stages, "write"):
         if keep:
-            ply = args.ply or str(args.input) + ".error.ply"
-            hist = args.hist or str(args.input) + ".error_hist.csv"
-            error_colormap_export(reconstruction[0], report.per_point, ply, hist, args.bins)
-            outputs += [ply, hist]
-    mpath = _manifest_path(args, outputs[0] if outputs else None)
-    if mpath:
-        _write_manifest(mpath, args, asdict(cfg), [args.input], outputs, stages)
-    return 0
+            outputs = (args.ply or f"{args.input}.error.ply", args.hist or f"{args.input}.error_hist.csv")
+            error_colormap_export(reconstruction[0], report.per_point, *outputs, args.bins)
+    return RunRecord(asdict(cfg), (args.input,), outputs)
 
 
 def _read_rd_curve(path, metric: str) -> RDCurve:
     rows = []
     with open(path, newline="") as fh:
-        import csv as _csv
-
-        rd = _csv.DictReader(fh)
+        rd = csv.DictReader(fh)
         if rd.fieldnames is None:
             raise FormatError(f"{path}: empty CSV")
         rate_col = next((c for c in ("bpp", "rate_bpp", "rate") if c in rd.fieldnames), None)
@@ -321,21 +300,15 @@ def _read_rd_curve(path, metric: str) -> RDCurve:
     return RDCurve(tuple(rows))
 
 
-def cmd_bdrate(args) -> int:
+def cmd_bdrate(args, stages) -> RunRecord:
     anchor = _read_rd_curve(args.anchor, args.metric)
     test = _read_rd_curve(args.test, args.metric)
     delta = bd_rate(anchor, test)
     print(f"bd_rate_pct={_G % delta}")
-    mpath = _manifest_path(args, None)
-    if mpath:
-        _write_manifest(
-            mpath, args, {"metric": args.metric}, [args.anchor, args.test], [], {}
-        )
-    return 0
+    return RunRecord({"metric": args.metric}, (args.anchor, args.test))
 
 
-def cmd_synth(args) -> int:
-    stages = {}
+def cmd_synth(args, stages) -> RunRecord:
     params = SynthParams(
         beams=args.beams,
         points_per_ring=args.points_per_ring,
@@ -350,10 +323,7 @@ def cmd_synth(args) -> int:
     with _stage(stages, "write"):
         _write_cloud(cloud, args.output)
     print(f"synthesized {len(cloud)} points ({params.beams} beams)")
-    mpath = _manifest_path(args, args.output)
-    if mpath:
-        _write_manifest(mpath, args, asdict(params), [], [args.output], stages)
-    return 0
+    return RunRecord(asdict(params), (), (args.output,))
 
 
 def _bench_row(points, system, depth, parts, convention, peak):
@@ -374,10 +344,7 @@ def _bench_row(points, system, depth, parts, convention, peak):
     )
 
 
-def cmd_bench(args) -> int:
-    import csv as _csv
-
-    stages = {}
+def cmd_bench(args, stages) -> RunRecord:
     with _stage(stages, "read"):
         cloud = _read_cloud(args.input)
     systems = [s.strip() for s in args.systems.split(",")]
@@ -395,36 +362,24 @@ def cmd_bench(args) -> int:
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=args.workers) as ex:
-                rows = list(ex.map(_bench_star, jobs))
+                rows = list(ex.map(_bench_row, *zip(*jobs)))
         else:
-            rows = [_bench_star(j) for j in jobs]
+            rows = [_bench_row(*j) for j in jobs]
     with _stage(stages, "write"):
         with open(args.output, "w", newline="") as fh:
-            w = _csv.writer(fh)
+            w = csv.writer(fh)
             w.writerow(["system", "depth", "parts", "bpp", "d1_db", "d2_db", "cd"])
             for system, depth, parts_n, bpp, d1, d2, cd in rows:
                 w.writerow(
                     [system, depth, parts_n] + [_fmt_metric(v) for v in (bpp, d1, d2, cd)]
                 )
     print(f"wrote {len(rows)} RD rows to {args.output}")
-    mpath = _manifest_path(args, args.output)
-    if mpath:
-        cfg = {
-            "systems": systems,
-            "depths": depths,
-            "convention": args.convention,
-            "peak": args.peak,
-        }
-        _write_manifest(mpath, args, cfg, [args.input], [args.output], stages, coder=True)
-    return 0
+    cfg = {"systems": systems, "depths": depths, "convention": args.convention, "peak": args.peak}
+    return RunRecord(cfg, (args.input,), (args.output,), coded=True)
 
 
 def _fmt_metric(v: float) -> str:
     return "inf" if math.isinf(v) else _G % v
-
-
-def _bench_star(job):
-    return _bench_row(*job)
 
 
 # ---------------------------------------------------------------------------
@@ -510,15 +465,22 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse --help exits 0; _Parser.error raises 1
         return int(exc.code or 0)
-    args._argv = argv
+    stages = {}
     try:
-        return args.func(args)
+        run = args.func(args, stages)
+        if run is not None:
+            path = args.manifest
+            if path is None and run.outputs:
+                path = f"{run.outputs[0]}.manifest.json"
+            if path:
+                _write_manifest(path, argv, run, stages)
     except CorruptStreamError as exc:
         print(f"lidarpcc: corrupt stream: {exc}", file=sys.stderr)
         return 3
     except (FormatError, ConfigError, MetricError, OSError) as exc:
         print(f"lidarpcc: error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

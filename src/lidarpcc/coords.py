@@ -33,7 +33,7 @@ def cart_to_sph(p: np.ndarray) -> np.ndarray:
     """(..., 3) xyz → (..., 3) of (ρ, θ∈[0,2π), φ∈[0,π])."""
     p = np.asarray(p, dtype=np.float64)
     x, y, z = p[..., 0], p[..., 1], p[..., 2]
-    rho = np.sqrt(x * x + y * y + z * z)
+    rho = radial_coord(p, SPHERICAL)
     theta = _wrap_theta(np.arctan2(y, x))
     with np.errstate(invalid="ignore", divide="ignore"):
         phi = np.arccos(np.clip(np.where(rho > 0, z / rho, 1.0), -1.0, 1.0))
@@ -55,7 +55,7 @@ def cart_to_cyl(p: np.ndarray) -> np.ndarray:
     """(..., 3) xyz → (..., 3) of (ρ, θ∈[0,2π), z)."""
     p = np.asarray(p, dtype=np.float64)
     x, y, z = p[..., 0], p[..., 1], p[..., 2]
-    rho = np.hypot(x, y)
+    rho = radial_coord(p, CYLINDRICAL)
     theta = _wrap_theta(np.arctan2(y, x))
     return np.stack([rho, np.where(rho == 0, 0.0, theta), z], axis=-1)
 
@@ -67,11 +67,16 @@ def cyl_to_cart(c: np.ndarray) -> np.ndarray:
 
 
 def radial_coord(points: np.ndarray, system: str) -> np.ndarray:
-    """The radius that scales angular steps: spherical ρ or cylinder ρ."""
-    points = np.asarray(points, dtype=np.float64)
+    """The radius that scales angular steps: cylinder ρ, else spherical ρ.
+
+    The one radius formula: the part split, the measured ρ_max and the
+    quantizer's ρ index all read these bits.
+    """
+    p = np.asarray(points, dtype=np.float64)
+    x, y, z = p[..., 0], p[..., 1], p[..., 2]
     if system == CYLINDRICAL:
-        return np.hypot(points[..., 0], points[..., 1])
-    return np.linalg.norm(points, axis=-1)
+        return np.hypot(x, y)
+    return np.sqrt(x * x + y * y + z * z)
 
 
 @dataclass(frozen=True)

@@ -149,19 +149,10 @@ def test_multi_part_report_has_per_part():
     assert rep.utilization <= SMALL_ANGLE_SLACK
 
 
-def test_nearest_pairing_fallback():
-    cloud = _cloud(n=500)
-    cfg = CodecConfig(system=CARTESIAN, depth=9, parts=ONE_PART)
-    rec, _, _ = pipeline_reconstruct(cloud, cfg)
-    rep = empirical_error(cloud, cfg, rec=PointCloud(np.flipud(rec).copy()))
-    assert rep.pairing == "nearest"
-    assert rep.max_error <= rep.bound * (1 + 1e-9)
-
-
 @pytest.mark.parametrize(
     "run",
-    [pipeline_reconstruct, empirical_error, lambda cloud, cfg: empirical_error(cloud, cfg, rec=cloud)],
-    ids=["pipeline_reconstruct", "pipeline_pairing", "nearest_pairing"],
+    [pipeline_reconstruct, empirical_error],
+    ids=["pipeline_reconstruct", "pipeline_pairing"],
 )
 def test_multi_part_rejects_rho_max_below_cloud_radius(run):
     # the outer ring reaches 400 m, which encode_cloud rejects at ρ_max = 200 m

@@ -5,14 +5,15 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lidarpcc import analysis, cli, kernel
 from lidarpcc.analysis import empirical_error, error_colormap_export
-from lidarpcc.codec import CodecConfig, pipeline_reconstruct
-from lidarpcc.pcio import read_kitti_bin, read_ply
+from lidarpcc.codec import CodecConfig, decode_cloud, encode_cloud, pipeline_reconstruct
+from lidarpcc.pcio import read_kitti_bin, read_ply, write_ply
 
 CLI = [sys.executable, "-m", "lidarpcc.cli"]
 
@@ -87,6 +88,101 @@ def test_manifest_records_hashes_and_stages(scan, tmp_path):
                "--depth", "9", "--parts", "1", "--manifest", alt)
     assert proc.returncode == 0
     assert alt.exists() and not (tmp_path / "m2.scp.manifest.json").exists()
+
+
+@pytest.fixture(scope="module")
+def made(scan, tmp_path_factory):
+    """A container, its decoded cloud and two RD curves, written without the CLI."""
+    d = tmp_path_factory.mktemp("made")
+    cloud = read_kitti_bin(scan)
+    container = encode_cloud(cloud, CodecConfig(system="spherical", depth=9))
+    (d / "x.scp").write_bytes(container.to_bytes())
+    write_ply(decode_cloud(container), d / "x.ply")
+    for name, scale in (("anchor.csv", 1.0), ("test.csv", 0.9)):
+        rows = "".join(f"{scale * r},{db}\n" for r, db in ((1, 30), (2, 35), (4, 40), (8, 45)))
+        (d / name).write_text("bpp,d1_db\n" + rows)
+    return d
+
+
+CODING = ("encode", "decode", "bench")
+
+
+def _run_of(cmd, scan, made, out):
+    """argv of one successful run of ``cmd`` writing into ``out``, and its first output (or None)."""
+    argv, first = {
+        "encode": (["encode", scan, out / "o.scp", "--depth", 9], out / "o.scp"),
+        "decode": (["decode", made / "x.scp", out / "o.ply"], out / "o.ply"),
+        "metrics": (["metrics", scan, made / "x.ply", "--json", out / "r.json", "--csv", out / "r.csv"],
+                    out / "r.json"),
+        "analyze": (["analyze", scan, "--depth", 9, "--ply", out / "e.ply", "--hist", out / "e.csv"],
+                    out / "e.ply"),
+        "bdrate": (["bdrate", made / "anchor.csv", made / "test.csv"], None),
+        "synth": (["synth", out / "s.bin", "--beams", 4, "--points-per-ring", 64], out / "s.bin"),
+        "bench": (["bench", scan, out / "b.csv", "--systems", "cartesian", "--depths", 8], out / "b.csv"),
+    }[cmd]
+    return [str(a) for a in argv], first
+
+
+def _files(*dirs):
+    return sorted(p for d in dirs for p in Path(d).rglob("*"))
+
+
+@pytest.mark.parametrize("cmd", ("encode", "decode", "metrics", "analyze", "bdrate", "synth", "bench"))
+def test_every_command_writes_its_manifest_by_one_rule(cmd, scan, made, tmp_path, coder):
+    default, flagged = tmp_path / "default", tmp_path / "flagged"
+    default.mkdir()
+    flagged.mkdir()
+    argv, first = _run_of(cmd, scan, made, default)
+    assert cli.main(argv) == 0
+    # next to the first output; with no output and no --manifest, nowhere
+    assert sorted(default.glob("*.manifest.json")) == ([Path(f"{first}.manifest.json")] if first else [])
+
+    argv, first = _run_of(cmd, scan, made, flagged)
+    alt = tmp_path / "alt.json"
+    argv += ["--manifest", str(alt)]
+    assert cli.main(argv) == 0
+    assert not list(flagged.glob("*.manifest.json"))
+    manifest = json.loads(alt.read_text())
+    assert manifest["command"] == ["lidarpcc"] + argv
+    assert manifest["outputs"][:1] == ([str(first)] if first else [])
+    for path, digest in manifest["inputs"].items():
+        assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    versions = manifest["versions"]
+    assert versions["numpy_simd"] == np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    assert versions.get("coder") == (coder if cmd in CODING else None)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bdrate", "{made}/anchor.csv", "{made}/test.csv"],
+        ["metrics", "{scan}", "{made}/x.ply"],
+        ["analyze", "--crossover"],
+        ["analyze", "--crossover", "--manifest", "{tmp}/m.json"],
+    ],
+    ids=["bdrate", "metrics_to_stdout", "crossover", "crossover_with_manifest_flag"],
+)
+def test_no_manifest_without_outputs(argv, scan, made, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    before = _files(scan.parent, made, tmp_path)
+    assert cli.main([a.format(scan=scan, made=made, tmp=tmp_path) for a in argv]) == 0
+    assert _files(scan.parent, made, tmp_path) == before
+
+
+def test_no_manifest_from_a_failed_command(scan, made, tmp_path):
+    alt = tmp_path / "alt.json"
+    missing = ["encode", str(tmp_path / "missing.bin"), str(tmp_path / "o.scp")]
+    assert cli.main(missing) == 2
+    assert cli.main(missing + ["--manifest", str(alt)]) == 2
+    corrupt = tmp_path / "t.scp"
+    corrupt.write_bytes((made / "x.scp").read_bytes()[:-7])
+    truncated = ["decode", str(corrupt), str(tmp_path / "t.ply")]
+    assert cli.main(truncated) == 3
+    assert cli.main(truncated + ["--manifest", str(alt)]) == 3
+    assert _files(tmp_path) == [corrupt]
+    # a manifest that cannot be written is an I/O error
+    assert cli.main(["synth", str(tmp_path / "s.bin"), "--beams", "4", "--points-per-ring", "64",
+                     "--manifest", str(tmp_path / "no" / "m.json")]) == 2
 
 
 def test_metrics_json_csv_outputs(scan, tmp_path):

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lidarpcc.coords import CARTESIAN, CYLINDRICAL, SPHERICAL, QuantizedCloud, QuantSteps
+from lidarpcc.coords import (
+    CARTESIAN,
+    CYLINDRICAL,
+    SPHERICAL,
+    QuantizedCloud,
+    QuantSteps,
+    derive_steps,
+    radial_coord,
+    transform_points,
+)
 from lidarpcc.errors import ConfigError, CorruptStreamError
 from lidarpcc.octree import (
     ContextCursor,
@@ -293,6 +302,25 @@ def test_partition_radius_follows_system():
     cyl = part_assignment(pts, cfg, 10.5, CYLINDRICAL)
     np.testing.assert_array_equal(sph, [2, 2])
     np.testing.assert_array_equal(cyl, [0, 2])
+
+
+@pytest.mark.parametrize("system", [SPHERICAL, CYLINDRICAL])
+def test_part_split_and_quantizer_read_the_same_radius(monkeypatch, system):
+    # a point near a part threshold would change part if the two radii differed in the last bit
+    rng = np.random.default_rng(3)
+    pts = np.concatenate([rng.normal(size=(2000, 3)) * 10.0**e for e in range(-3, 7)])
+    split = []
+
+    def recorded(points, sys_):
+        split.append(radial_coord(points, sys_))
+        return split[-1]
+
+    monkeypatch.setattr("lidarpcc.octree.radial_coord", recorded)
+    steps = derive_steps(system, 1.0, PointCloud(pts))
+    part_assignment(pts, MultiLevelConfig(), steps.rho_max, system)
+    quantizer = transform_points(pts, steps)[:, 0]
+    assert len(split) == 1
+    np.testing.assert_array_equal(split[0].view(np.uint64), quantizer.view(np.uint64))
 
 
 def test_part_steps_halve_everything():
