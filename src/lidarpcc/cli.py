@@ -326,17 +326,16 @@ def cmd_synth(args, stages) -> RunRecord:
     return RunRecord(asdict(params), (), (args.output,))
 
 
-def _bench_row(points, system, depth, parts, convention, peak):
+def _bench_row(points, cfg, peak):
     cloud = PointCloud(points)
-    cfg = CodecConfig(system=system, depth=depth, convention=convention, parts=parts)
     container = encode_cloud(cloud, cfg)
     rec = decode_cloud(container)
     mcfg = MetricConfig(peak=peak)
     report = compute_report(cloud, rec, mcfg, measure_bpp(container))
     return (
-        system,
-        depth,
-        parts.n_parts,
+        cfg.system,
+        cfg.depth,
+        cfg.parts.n_parts,
         report.rate_bpp,
         report.d1_db,
         report.d2_db,
@@ -351,12 +350,16 @@ def cmd_bench(args, stages) -> RunRecord:
     for s in systems:
         if s not in SYSTEMS:
             raise ConfigError(f"unknown system '{s}' in --systems")
-    depths = [int(d) for d in args.depths.split(",")]
-    jobs = []
+    try:
+        depths = [int(d) for d in args.depths.split(",")]
+    except ValueError:
+        raise ConfigError(f"bad --depths value '{args.depths}'") from None
+    jobs = []  # every config is built, and so checked, before the first row runs
     for system in systems:
         parts = _part_layout(system, None if system == CARTESIAN else args.parts, None)
         for depth in depths:
-            jobs.append((cloud.points, system, depth, parts, args.convention, args.peak))
+            cfg = CodecConfig(system=system, depth=depth, convention=args.convention, parts=parts)
+            jobs.append((cloud.points, cfg, args.peak))
     with _stage(stages, "bench"):
         if args.workers > 1:
             from concurrent.futures import ProcessPoolExecutor

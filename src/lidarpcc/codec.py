@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import entropy, kernel
+from . import kernel
 from .coords import (
     CARTESIAN,
     CYLINDRICAL,
@@ -28,6 +28,7 @@ from .coords import (
     SYSTEMS,
     QuantizedCloud,
     QuantSteps,
+    bounding_box,
     dequantize,
     derive_steps,
     lattice_steps,
@@ -38,17 +39,12 @@ from .coords import (
 from .errors import ConfigError, CorruptStreamError, FormatError
 from .octree import (
     MAX_DEPTH,
-    ContextCursor,
     MultiLevelConfig,
-    Octree,
     _deinterleave,
     build,
-    leaf_indices,
-    occupancy_stream,
     part_assignment,
     part_steps,
     partition_multilevel,
-    rebuild,
 )
 from .pcio import PointCloud
 
@@ -75,6 +71,8 @@ class CodecConfig:
             raise ConfigError(f"unknown coordinate system '{self.system}'")
         if self.convention not in CONVENTIONS:
             raise ConfigError(f"unknown convention '{self.convention}'")
+        if self.depth is not None and self.depth < 1:
+            raise ConfigError(f"depth must be at least 1, got {self.depth}")
         if self.system == CARTESIAN and self.parts.n_parts != 1:
             raise ConfigError("multi-level parts require an angle-based system; use parts=1 for cartesian")
 
@@ -104,7 +102,8 @@ def resolve_step(cfg: CodecConfig, cloud: PointCloud) -> tuple[float, float | No
     # raw + depth: span the measured coordinate range with 2^D − 1 steps
     denom = (1 << cfg.depth) - 1
     if cfg.system == CARTESIAN:
-        extent = float((cloud.points.max(axis=0) - cloud.points.min(axis=0)).max())
+        lo, hi = bounding_box(cloud.points)
+        extent = float((hi - lo).max())
         if extent <= 0:
             raise ConfigError("cannot derive a step for a degenerate (single-voxel) cloud")
         return extent / denom, rho_max
@@ -252,38 +251,6 @@ class Container:
         )
 
 
-def encode_tree(tree: Octree) -> bytes:
-    """Range-coded occupancy stream of one octree (a part's payload).
-
-    This is the per-node Python coder: the codec runs ``kernel.encode_part``
-    instead when the compiled kernel loads, and the tests hold the two byte
-    for byte.
-    """
-    return entropy.encode(occupancy_stream(tree), entropy.AdaptiveContextModel()).data
-
-
-def decode_symbols(payload: bytes, depth: int, symbol_count: int) -> np.ndarray:
-    """Breadth-first occupancy symbols of one part, decoded node by node.
-
-    Each level's node count is checked against the symbols the header leaves
-    before that level is decoded, so a corrupt ``symbol_count`` costs no
-    memory beyond the tree the payload actually holds. This is the Python
-    decoder, the fallback of ``kernel.decode_part``, with the same messages.
-    """
-    dec = entropy._RangeDecoder(payload)
-    model = entropy.AdaptiveContextModel()
-    cursor = ContextCursor(depth)
-    out = bytearray()
-    for lvl in range(1, depth + 1):
-        nodes = cursor.pending()
-        if nodes > symbol_count - len(out):
-            raise CorruptStreamError(f"symbol count {symbol_count} ends inside level {lvl} ({nodes} nodes)")
-        out += bytes(entropy._decode_next(dec, model, cursor) for _ in range(nodes))
-    if len(out) != symbol_count:
-        raise CorruptStreamError(f"symbol count {symbol_count} exceeds the tree's {len(out)} nodes")
-    return np.frombuffer(out, dtype=np.uint8)
-
-
 def _header_lattice(cloud: PointCloud, cfg: CodecConfig) -> tuple[QuantSteps, tuple]:
     """The base steps and thresholds the header will carry; refused unless they decode."""
     if len(cloud) == 0:
@@ -302,18 +269,13 @@ def encode_cloud(cloud: PointCloud, cfg: CodecConfig) -> Container:
     """Quantize each radial part, code its octree, and pack the container."""
     steps, thresholds = _header_lattice(cloud, cfg)
     parts = partition_multilevel(cloud, cfg.parts, steps.rho_max, cfg.system)
-    lib = kernel.load()
     records = []
     for n, part in enumerate(parts):
         if len(part) == 0:
             records.append(PartRecord(0, True, b""))
             continue
-        st = part_steps(steps, n)
-        tree = build(quantize(part, st))
-        if lib is None:
-            payload = encode_tree(tree)
-        else:
-            payload = kernel.encode_part(lib, tree.all_symbols(), tree.depth)
+        tree = build(quantize(part, part_steps(steps, n)))
+        payload = kernel.encode_part(tree.all_symbols(), tree.depth)
         records.append(PartRecord(tree.node_count, False, payload))
     return Container(
         cfg.system,
@@ -330,7 +292,6 @@ def encode_cloud(cloud: PointCloud, cfg: CodecConfig) -> Container:
 def decode_cloud(container: Container) -> PointCloud:
     """Voxel centers of every non-empty part, in part order."""
     steps = container.base_steps()
-    lib = kernel.load()
     chunks = []
     for n, part in enumerate(container.parts):
         if part.empty:
@@ -342,15 +303,10 @@ def decode_cloud(container: Container) -> PointCloud:
         if fault:
             raise CorruptStreamError(f"part {n}: {fault}")
         try:
-            if lib is None:
-                tree = rebuild(decode_symbols(part.payload, st.depth, part.symbol_count), st.depth)
-                indices = leaf_indices(tree)
-            else:
-                _, codes = kernel.decode_part(lib, part.payload, st.depth, part.symbol_count)
-                indices = _deinterleave(codes, st.depth)
+            codes = kernel.decode_part(part.payload, st.depth, part.symbol_count)
         except CorruptStreamError as exc:
             raise CorruptStreamError(f"part {n}: {exc}") from None
-        qc = QuantizedCloud(indices, st, part.symbol_count)
+        qc = QuantizedCloud(_deinterleave(codes, st.depth), st, part.symbol_count)
         chunks.append(dequantize(qc).points)
     if not chunks:
         raise CorruptStreamError("container has no non-empty parts")

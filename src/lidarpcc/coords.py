@@ -135,6 +135,18 @@ def lattice_steps(system: str, q: float, rho_max: float, depth: int, origin) -> 
     return QuantSteps(system, q, 2.0 * np.pi / (bins - 1), q_phi, bins, depth, rho_max, tuple(origin))
 
 
+def bounding_box(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``points.min(axis=0), points.max(axis=0)`` bit for bit, several times faster, one column at a time.
+
+    Of a ±0 extreme the axis-0 reduction keeps the column's last zero, so that zero is read back.
+    """
+    def extreme(reduce, col):
+        value = reduce(col)
+        return col[np.flatnonzero(col == 0)[-1]] if value == 0 else value
+
+    return tuple(np.array([extreme(reduce, col) for col in points.T]) for reduce in (np.min, np.max))
+
+
 def derive_steps(system: str, q: float, cloud: PointCloud, rho_max: float | None = None) -> QuantSteps:
     """Measure a cloud's header fields and return their :func:`lattice_steps`.
 
@@ -151,8 +163,8 @@ def derive_steps(system: str, q: float, cloud: PointCloud, rho_max: float | None
     pts = cloud.points
 
     if system == CARTESIAN:
-        origin = pts.min(axis=0)
-        top = np.round((pts.max(axis=0) - origin) / q).max()
+        origin, top_corner = bounding_box(pts)
+        top = np.round((top_corner - origin) / q).max()
         return lattice_steps(system, q, 0.0, max(1, int(top).bit_length()), origin)
 
     if rho_max is None:

@@ -1,13 +1,12 @@
-"""Compiled part kernel: ``part_kernel.c`` built on first use and called through ctypes.
+"""The part coder: ``part_kernel.c`` built on first use and called through ctypes, or the Python coder.
 
-The kernel codes one radial part's occupancy stream exactly as
-:func:`codec.encode_tree` and :func:`codec.decode_symbols`, the per-node
-reference path, do, contexts included, and expands the decoded tree to its
-leaf Morton codes. :func:`load` compiles the C source with the system ``cc``
-into a per-user cache the first time a coder asks for it; without a compiler,
-or without a cache directory private to the user, it returns None and the
-codec falls back to that reference path, which codes the same bytes 150–300
-times slower per symbol (README, *Speed*).
+:func:`encode_part` and :func:`decode_part` code one radial part, and this
+module alone chooses the coder. :func:`load` compiles the C source with the
+system ``cc`` into a per-user cache the first time a coder asks for it;
+without a compiler, or without a cache directory private to the user, it
+returns None and both run the per-node Python coder (``_encode_per_node``,
+``_decode_per_node``). That coder writes the same bytes and raises the same
+errors 150–300 times slower per symbol (README, *Speed*).
 """
 
 from __future__ import annotations
@@ -25,13 +24,16 @@ from pathlib import Path
 
 import numpy as np
 
+from . import entropy
 from .errors import CorruptStreamError
+from .octree import ContextCursor, _expand_cells, occupancy_stream, rebuild
 
 SOURCE = Path(__file__).with_name("part_kernel.c")
 CFLAGS = ("-O2", "-shared", "-fPIC")
 
 # error codes of part_kernel.c
 _EXHAUSTED, _DESYNC, _COUNT_INSIDE, _COUNT_EXCEEDS, _NOMEM, _CAPACITY, _SHAPE = range(-1, -8, -1)
+_NOT_AN_OCTREE = "{} symbols are not the breadth-first occupancy of a depth-{} octree"  # _SHAPE, on either coder
 
 _u8p = ctypes.POINTER(ctypes.c_uint8)
 _i64p = ctypes.POINTER(ctypes.c_int64)
@@ -118,10 +120,13 @@ def _ptr(array: np.ndarray, kind):
     return array.ctypes.data_as(kind)
 
 
-def encode_part(lib: ctypes.CDLL, symbols: np.ndarray, depth: int) -> bytes:
-    """Payload of a part's breadth-first occupancy symbols; equals ``codec.encode_tree``."""
+def encode_part(symbols: np.ndarray, depth: int) -> bytes:
+    """Payload of a part's breadth-first occupancy symbols; ValueError unless they form a depth-``depth`` octree."""
     if symbols.dtype != np.uint8:
         raise TypeError(f"occupancy symbols must be uint8, not {symbols.dtype}")
+    lib = load()
+    if lib is None:
+        return _encode_per_node(symbols, depth)
     symbols = np.ascontiguousarray(symbols)
     # a symbol renormalizes at most twice (its range stays ≥ 2^24/2^16), and
     # every shift emits at most one byte, flush included
@@ -129,7 +134,7 @@ def encode_part(lib: ctypes.CDLL, symbols: np.ndarray, depth: int) -> bytes:
     out = np.empty(cap, dtype=np.uint8)
     n = lib.encode_part(_ptr(symbols, _u8p), len(symbols), depth, _ptr(out, _u8p), cap)
     if n == _SHAPE:
-        raise ValueError(f"{len(symbols)} symbols are not the breadth-first occupancy of a depth-{depth} octree")
+        raise ValueError(_NOT_AN_OCTREE.format(len(symbols), depth))
     if n == _NOMEM:
         raise MemoryError("part kernel could not allocate its context tables")
     if n < 0:
@@ -137,13 +142,14 @@ def encode_part(lib: ctypes.CDLL, symbols: np.ndarray, depth: int) -> bytes:
     return out[:n].tobytes()
 
 
-def decode_part(lib: ctypes.CDLL, payload: bytes, depth: int, symbol_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """(breadth-first symbols, leaf Morton codes) of one part's payload.
+def decode_part(payload: bytes, depth: int, symbol_count: int) -> np.ndarray:
+    """Leaf Morton codes of one part's payload, breadth-first; :class:`CorruptStreamError` if it is corrupt.
 
-    Raises :class:`CorruptStreamError` wherever ``codec.decode_symbols``
-    would, with the same message. ``symbol_count`` sizes the symbol buffer, so
-    the caller bounds it first.
+    ``symbol_count`` sizes the symbol buffer, so the caller bounds it first.
     """
+    lib = load()
+    if lib is None:
+        return _decode_per_node(payload, depth, symbol_count)
     data = np.frombuffer(payload, dtype=np.uint8)
     symbols = np.empty(symbol_count, dtype=np.uint8)
     info = np.zeros(2, dtype=np.int64)
@@ -165,4 +171,30 @@ def decode_part(lib: ctypes.CDLL, payload: bytes, depth: int, symbol_count: int)
     done = lib.leaf_codes(_ptr(symbols, _u8p), depth, _ptr(codes, _i64p), leaves)
     if done != leaves:
         raise RuntimeError(f"part kernel expanded {done} of {leaves} leaves")
-    return symbols, codes
+    return codes
+
+
+def _encode_per_node(symbols: np.ndarray, depth: int) -> bytes:
+    """The Python coder: ``occupancy_stream`` contexts range-coded symbol by symbol."""
+    try:
+        tree = rebuild(symbols, depth)
+    except CorruptStreamError:
+        raise ValueError(_NOT_AN_OCTREE.format(len(symbols), depth)) from None
+    return entropy.encode(occupancy_stream(tree), entropy.AdaptiveContextModel()).data
+
+
+def _decode_per_node(payload: bytes, depth: int, symbol_count: int) -> np.ndarray:
+    """The Python decoder, node by node; a level larger than the symbols left is refused before it is decoded."""
+    dec = entropy._RangeDecoder(payload)
+    model = entropy.AdaptiveContextModel()
+    cursor = ContextCursor(depth)
+    out = bytearray()
+    for lvl in range(1, depth + 1):
+        nodes = cursor.pending()
+        if nodes > symbol_count - len(out):
+            raise CorruptStreamError(f"symbol count {symbol_count} ends inside level {lvl} ({nodes} nodes)")
+        out += bytes(entropy._decode_next(dec, model, cursor) for _ in range(nodes))
+    if len(out) != symbol_count:
+        raise CorruptStreamError(f"symbol count {symbol_count} exceeds the tree's {len(out)} nodes")
+    last = rebuild(np.frombuffer(out, dtype=np.uint8), depth).levels[-1]
+    return _expand_cells(last.cells, last.symbols)

@@ -165,7 +165,7 @@ class ContextCursor:
     parent's octant rides along in ``ancestors[0][1]``, as ``NodeContext``
     documents, and no model reads it.
 
-    ``codec.decode_symbols`` drives it when the compiled part kernel, which
+    ``kernel._decode_per_node`` drives it when the compiled part kernel, which
     derives the same contexts from the parent bytes, is not in use.
     """
 
@@ -193,8 +193,8 @@ class ContextCursor:
 def occupancy_stream(tree: Octree) -> Iterator[tuple[int, NodeContext]]:
     """Yield (symbol, context) pairs in coding order.
 
-    ``codec.encode_tree`` codes this stream when the compiled part kernel is
-    not in use.
+    ``kernel._encode_per_node``, the Python coder, codes this stream when the
+    compiled part kernel is not in use.
     """
     cursor = ContextCursor(tree.depth)
     for lv in tree.levels:

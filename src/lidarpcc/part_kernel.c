@@ -1,8 +1,8 @@
 /* One radial part's occupancy stream: contexts, adaptive model and range coder.
  *
- * The compiled twin of the per-node reference path, codec.encode_tree and
- * codec.decode_symbols: an entropy.AdaptiveContextModel over the contexts of
- * octree.ContextCursor. FORMAT.md specifies the bits. Symbols are one
+ * The compiled twin of the per-node Python coder, kernel._encode_per_node and
+ * kernel._decode_per_node: an entropy.AdaptiveContextModel over the contexts
+ * of octree.ContextCursor. FORMAT.md specifies the bits. Symbols are one
  * breadth-first occupancy byte per node, levels 1..depth. Every buffer
  * belongs to the caller; the functions return a count, or a negative error
  * code with details in info[0..1], and never write past a buffer's capacity.

@@ -1,11 +1,12 @@
 """Session options shared by every test module.
 
 ``--coder python`` replaces the compiled-kernel loader with one that finds no
-kernel, so the whole suite runs the codec's fallback: the per-node reference
-path of ``codec.encode_tree``/``codec.decode_symbols``. The default, ``auto``,
-uses the kernel whenever it builds. Commands run in subprocesses load the
-kernel as usual either way; CI runs the console script once more with ``cc``
-off ``PATH`` to cover the fallback there.
+kernel, so ``kernel.encode_part``/``kernel.decode_part`` run the per-node
+Python coder, ``kernel._encode_per_node``/``kernel._decode_per_node``, across
+the whole suite. The default, ``auto``, uses the kernel whenever it builds.
+The report header, or under ``-q`` the summary, names the session's coder.
+Commands run in subprocesses load the kernel as usual either way; CI runs the
+console script once more with ``cc`` off ``PATH`` to cover the fallback there.
 """
 
 import pytest
@@ -20,6 +21,20 @@ def pytest_addoption(parser):
         default="auto",
         help="codec coder for in-process tests: auto (compiled kernel if it builds) or python",
     )
+
+
+def _coder_line(config) -> str:
+    coder = "python" if config.getoption("--coder") == "python" else kernel.coder_name()
+    return f"lidarpcc coder: {coder}"
+
+
+def pytest_report_header(config):
+    return _coder_line(config)
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    if config.get_verbosity() < 0:  # -q drops the header, so the summary names the coder
+        terminalreporter.write_line(_coder_line(config))
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -236,6 +236,14 @@ def test_bench_workers_write_the_serial_csv(scan, tmp_path):
     assert len(serial.read_text().splitlines()) == 5
 
 
+def test_bench_refuses_depths_that_are_not_integers(scan, tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    for depths in ("8,x", "", "8,,10"):
+        assert cli.main(["bench", str(scan), str(out), "--depths", depths]) == 2
+        assert capsys.readouterr().err == f"lidarpcc: error: bad --depths value '{depths}'\n"
+    assert not out.exists()
+
+
 def test_bench_builds_parts_as_encode_does(scan, tmp_path):
     enc = run("encode", scan, tmp_path / "p.scp", "--system", "spherical", "--depth", "9",
               "--convention", "raw", "--parts", 2)
@@ -311,6 +319,16 @@ def test_exit_codes(scan, tmp_path):
     proc = run("encode", scan, tmp_path / "o.scp", "--system", "spherical",
                "--depth", "10", "--q", "0.1")
     assert proc.returncode == 2  # depth and q are mutually exclusive
+
+    for argv in (("encode", scan, tmp_path / "o.scp", "--depth", "0", "--convention", "kitti"),
+                 ("encode", scan, tmp_path / "o.scp", "--depth", "-1", "--convention", "kitti"),
+                 ("encode", scan, tmp_path / "o.scp", "--depth", "0", "--convention", "raw"),
+                 ("analyze", scan, "--depth", "0"),
+                 ("bench", scan, tmp_path / "b.csv", "--depths", "0")):
+        proc = run(*argv)
+        assert proc.returncode == 2, argv
+        assert proc.stderr.startswith("lidarpcc: error: depth must be at least 1"), argv
+    assert not list(tmp_path.iterdir())
 
     enc = tmp_path / "t.scp"
     assert run("encode", scan, enc, "--system", "spherical", "--depth", "10").returncode == 0

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from lidarpcc import codec, entropy, kernel
 from lidarpcc.analysis import combined_bound_sph
 from lidarpcc.codec import (
+    CONVENTIONS,
     CodecConfig,
     Container,
     convention_step,
@@ -196,6 +197,14 @@ def test_resolve_step_rules():
     assert q == pytest.approx(rho / 1023.0)
 
 
+def test_depth_below_one_is_refused():
+    # depth 0 would divide by zero in the kitti and raw steps, and -1 shift by a negative count
+    for convention in CONVENTIONS:
+        for depth in (0, -1):
+            with pytest.raises(ConfigError, match=f"^depth must be at least 1, got {depth}$"):
+                CodecConfig(system=SPHERICAL, depth=depth, convention=convention)
+
+
 def test_cartesian_rejects_multi_part():
     with pytest.raises(ConfigError, match="parts"):
         CodecConfig(system=CARTESIAN, q=0.5)  # default is 3 parts
@@ -270,8 +279,7 @@ def _decoders_must_not_run(monkeypatch):
     def refuse(*args):
         raise AssertionError("a decoder ran on an unchecked symbol count")
 
-    monkeypatch.setattr(codec, "decode_symbols", refuse)
-    monkeypatch.setattr(kernel, "decode_part", refuse)
+    monkeypatch.setattr(kernel, "decode_part", refuse)  # either coder runs behind it
 
 
 def test_huge_symbol_count_raises_corrupt(monkeypatch):

@@ -14,6 +14,7 @@ from lidarpcc.coords import (
     SPHERICAL,
     QuantizedCloud,
     QuantSteps,
+    bounding_box,
     cart_to_cyl,
     cart_to_sph,
     cyl_to_cart,
@@ -135,6 +136,20 @@ def test_cartesian_steps_cover_bbox():
         assert st_.origin_offset == (0.0, 0.0, -4.0)
         assert st_.depth == depth, x
         np.testing.assert_array_equal(st_.step_vector(), [0.1, 0.1, 0.1])
+
+
+def test_bounding_box_keeps_the_signs_of_zero_of_the_axis_reductions():
+    # per-column mins and maxes pick a different ±0 than the axis-0 reductions on
+    # some of these clouds, and the Cartesian origin is written to the header
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 5, 64, 3000):
+        for _ in range(40):
+            pts = rng.choice([0.0, -0.0, 1.0, 2.0], size=(n, 3)) * rng.choice([1.0, -1.0])
+            lo, hi = bounding_box(pts)
+            assert lo.tobytes() == pts.min(axis=0).tobytes()
+            assert hi.tobytes() == pts.max(axis=0).tobytes()
+            origin = derive_steps(CARTESIAN, 0.5, PointCloud(pts)).origin_offset
+            assert np.array(origin).tobytes() == pts.min(axis=0).tobytes()
 
 
 def test_cylindrical_depth_covers_z():

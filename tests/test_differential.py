@@ -1,12 +1,13 @@
-"""The compiled part kernel against the codec's per-node Python coder.
+"""The compiled part kernel against the per-node Python coder.
 
-The Python coder is the reference path: ``encode_tree``/``decode_symbols``
-code the ``occupancy_stream``/``ContextCursor`` contexts symbol by symbol
-through ``entropy`` with an ``AdaptiveContextModel``. The kernel must produce
-the same payload bytes, decode the same symbols and leaf codes, and reject the
-same corrupt inputs with the same messages, word for word. Kernel checks run
-whenever the kernel loads (not under ``--coder python``); the round trips and
-corrupt inputs also run on the Python coder alone.
+The Python coder is the reference path: ``kernel.encode_part`` and
+``kernel.decode_part`` run it when ``kernel.load`` finds no kernel, coding the
+``occupancy_stream``/``ContextCursor`` contexts symbol by symbol through
+``entropy`` with an ``AdaptiveContextModel``. :func:`on_both_coders` runs a
+call on the Python coder and, whenever the kernel loads (not under
+``--coder python``), on the kernel too: it must write the same payload bytes,
+decode the same leaf codes, and reject the same corrupt inputs with the same
+messages, word for word.
 """
 
 import functools
@@ -24,9 +25,7 @@ from lidarpcc.codec import (
     CodecConfig,
     Container,
     decode_cloud,
-    decode_symbols,
     encode_cloud,
-    encode_tree,
     resolve_step,
 )
 from lidarpcc.coords import (
@@ -43,7 +42,7 @@ from lidarpcc.coords import (
 from lidarpcc.errors import CorruptStreamError, FormatError
 from lidarpcc.octree import (
     MultiLevelConfig,
-    _deinterleave,
+    _interleave,
     build,
     leaf_indices,
     part_steps,
@@ -54,15 +53,26 @@ from lidarpcc.pcio import PointCloud
 ONE_PART = MultiLevelConfig(1, (0.0, 1.0))
 
 
-def _detailed_outcome(decoder, payload, depth, count):
+def _outcome(call, *args):
     try:
-        return decoder(payload, depth, count).tolist()
-    except CorruptStreamError as exc:
-        return f"corrupt: {exc}"
+        out = call(*args)
+    except (FormatError, CorruptStreamError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return out if isinstance(out, bytes) else out.tolist()
 
 
-def _kernel_symbols(payload, depth, count):
-    return kernel.decode_part(kernel.load(), payload, depth, count)[0]
+def on_both_coders(call, *args):
+    """``call(*args)`` on the Python coder, its error as a string; the kernel, when it loads, must agree."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "load", lambda: None)
+        python = _outcome(call, *args)
+    if kernel.load() is not None:
+        assert _outcome(call, *args) == python
+    return python
+
+
+def _leaf_codes(tree) -> list:
+    return _interleave(leaf_indices(tree), tree.depth).tolist()
 
 
 @st.composite
@@ -96,14 +106,8 @@ def test_codec_matches_reference_path(case, data):
         depth = part_steps(steps, n).depth
         tree = build(quantize(part, part_steps(steps, n)))
         payload, count = record.payload, record.symbol_count
-        assert payload == encode_tree(tree)  # the reference, whichever coder the codec ran
-        np.testing.assert_array_equal(decode_symbols(payload, depth, count), tree.all_symbols())
-        lib = kernel.load()
-        if lib is not None:
-            assert kernel.encode_part(lib, tree.all_symbols(), depth) == payload
-            symbols, codes = kernel.decode_part(lib, payload, depth, count)
-            np.testing.assert_array_equal(symbols, tree.all_symbols())
-            np.testing.assert_array_equal(_deinterleave(codes, depth), leaf_indices(tree))
+        assert on_both_coders(kernel.encode_part, tree.all_symbols(), depth) == payload
+        assert on_both_coders(kernel.decode_part, payload, depth, count) == _leaf_codes(tree)
 
         flipped = bytearray(payload)
         bit = data.draw(st.integers(0, 8 * len(payload) - 1), label="bit")
@@ -116,12 +120,10 @@ def test_codec_matches_reference_path(case, data):
             (payload, count + k),
             (payload, max(count - k, 0)),
         ):
-            python = _detailed_outcome(decode_symbols, bad_payload, depth, bad_count)
+            outcome = on_both_coders(kernel.decode_part, bad_payload, depth, bad_count)
             if bad_payload == payload:
                 wrong = "exceeds the tree's" if bad_count > count else "ends inside level"
-                assert python.startswith(f"corrupt: symbol count {bad_count} {wrong}")
-            if lib is not None:
-                assert _detailed_outcome(_kernel_symbols, bad_payload, depth, bad_count) == python
+                assert outcome.startswith(f"CorruptStreamError: symbol count {bad_count} {wrong}")
 
 
 def test_deep_levels_share_capped_contexts():
@@ -132,14 +134,8 @@ def test_deep_levels_share_capped_contexts():
     indices = rng.integers(0, 1 << depth, size=(40, 3))
     steps = QuantSteps(CARTESIAN, 1.0, 0.0, 0.0, 1 << depth, depth, 0.0)
     tree = build(QuantizedCloud(indices, steps, len(indices)))
-    payload = encode_tree(tree)
-    np.testing.assert_array_equal(decode_symbols(payload, depth, tree.node_count), tree.all_symbols())
-    lib = kernel.load()
-    if lib is not None:
-        assert kernel.encode_part(lib, tree.all_symbols(), depth) == payload
-        symbols, codes = kernel.decode_part(lib, payload, depth, tree.node_count)
-        np.testing.assert_array_equal(symbols, tree.all_symbols())
-        np.testing.assert_array_equal(_deinterleave(codes, depth), leaf_indices(tree))
+    payload = on_both_coders(kernel.encode_part, tree.all_symbols(), depth)
+    assert on_both_coders(kernel.decode_part, payload, depth, tree.node_count) == _leaf_codes(tree)
 
 
 def test_both_coders_halve_counts_alike():
@@ -152,14 +148,10 @@ def test_both_coders_halve_counts_alike():
     indices = np.stack([a.ravel(), b.ravel(), c.ravel()], axis=1) << (depth - 5) | ((1 << (depth - 5)) - 1)
     steps = QuantSteps(CARTESIAN, 1.0, 0.0, 0.0, 1 << depth, depth, 0.0)
     tree = build(QuantizedCloud(indices, steps, len(indices)))
-    lib = kernel.load()
-    if lib is None:
+    if kernel.load() is None:
         pytest.skip("compiled kernel not in use")
-    payload = encode_tree(tree)
-    assert kernel.encode_part(lib, tree.all_symbols(), depth) == payload
-    symbols, codes = kernel.decode_part(lib, payload, depth, tree.node_count)
-    np.testing.assert_array_equal(symbols, tree.all_symbols())
-    np.testing.assert_array_equal(_deinterleave(codes, depth), leaf_indices(tree))
+    payload = on_both_coders(kernel.encode_part, tree.all_symbols(), depth)
+    assert on_both_coders(kernel.decode_part, payload, depth, tree.node_count) == _leaf_codes(tree)
 
 
 # ---------------------------------------------------------------------------
@@ -217,24 +209,17 @@ def fuzzed_containers(draw):
     return bytes(blob)
 
 
-def _decode_outcome(blob: bytes):
-    try:
-        return decode_cloud(Container.from_bytes(blob)).points.tobytes()
-    except (FormatError, CorruptStreamError) as exc:
-        return f"{type(exc).__name__}: {exc}"
+def _decoded_points(blob: bytes) -> bytes:
+    return decode_cloud(Container.from_bytes(blob)).points.tobytes()
 
 
 @settings(max_examples=150, deadline=timedelta(seconds=5), suppress_health_check=[HealthCheck.too_slow])
 @given(fuzzed_containers())
 def test_decoder_is_total_on_both_coders(blob):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernel, "load", lambda: None)
-        python = _decode_outcome(blob)
-    if kernel.load() is not None:
-        assert _decode_outcome(blob) == python
+    on_both_coders(_decoded_points, blob)
 
 
 def test_fuzzed_containers_reach_the_decoders():
     # the real containers decode, so the mutations start from streams that both coders accept
     for blob in _real_containers():
-        assert isinstance(_decode_outcome(blob), bytes)
+        assert isinstance(on_both_coders(_decoded_points, blob), bytes)

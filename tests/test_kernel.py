@@ -96,16 +96,13 @@ def test_fallback_writes_and_reads_the_same_bytes(monkeypatch):
     np.testing.assert_array_equal(decode_cloud(Container.from_bytes(blob)).points, points)
 
 
-@pytest.fixture
-def lib(coder):
-    if coder != "c":
-        pytest.skip("compiled kernel not in use")
-    return kernel.load()
-
-
-def test_encode_part_rejects_what_is_not_an_octree(lib):
-    with pytest.raises(TypeError, match="uint8"):
-        kernel.encode_part(lib, np.array([3, 1, 128]), 2)
-    for symbols, depth in (([], 1), ([1], 2), ([1, 1, 1], 2), ([3, 0, 1], 2)):
-        with pytest.raises(ValueError, match="not the breadth-first occupancy"):
-            kernel.encode_part(lib, np.array(symbols, dtype=np.uint8), depth)
+def test_encode_part_rejects_what_is_not_an_octree(monkeypatch):
+    for python_coder in (False, True):  # the kernel first, when it loads
+        if python_coder:
+            monkeypatch.setattr(kernel, "load", lambda: None)
+        with pytest.raises(TypeError, match="^occupancy symbols must be uint8, not int64$"):
+            kernel.encode_part(np.array([3, 1, 128], dtype=np.int64), 2)
+        for symbols, depth in (([], 1), ([1], 2), ([1, 1, 1], 2), ([3, 0, 1], 2)):
+            message = f"^{len(symbols)} symbols are not the breadth-first occupancy of a depth-{depth} octree$"
+            with pytest.raises(ValueError, match=message):
+                kernel.encode_part(np.array(symbols, dtype=np.uint8), depth)
