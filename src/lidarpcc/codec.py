@@ -8,14 +8,18 @@ Container layout (all little-endian, see FORMAT.md):
     original_count u64
 
 Every part is an independent octree stream with a fresh adaptive model, so
-parts decode in isolation. rho_max, q and the header depth fully determine the
-quantization lattice; decoding is deterministic with no side state.
+parts decode in isolation, and one call codes its parts on two threads.
+rho_max, q and the header depth fully determine the quantization lattice;
+decoding is deterministic with no side state.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,10 +45,9 @@ from .octree import (
     MAX_DEPTH,
     MultiLevelConfig,
     _deinterleave,
-    build,
+    _interleave,
     part_assignment,
     part_steps,
-    partition_multilevel,
 )
 from .pcio import PointCloud
 
@@ -265,18 +268,75 @@ def _header_lattice(cloud: PointCloud, cfg: CodecConfig) -> tuple[QuantSteps, tu
     return steps, thresholds
 
 
+# The worker that codes all parts but the largest while the calling thread
+# codes that one. It starts on first use, so importing starts no thread, and a
+# forked child, which has no copy of the thread, starts its own.
+_worker: ThreadPoolExecutor | None = None
+_worker_lock = threading.Lock()
+
+
+def _forget_worker() -> None:
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _part_worker() -> ThreadPoolExecutor:
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="lidarpcc-part")
+        return _worker
+
+
+def _settled(work, n: int) -> Future:
+    """``work(n)``'s result or exception, held as a finished future."""
+    done = Future()
+    try:
+        done.set_result(work(n))
+    except Exception as exc:
+        done.set_exception(exc)
+    return done
+
+
+def _code_parts(work, sizes) -> list:
+    """``[work(n) for n in range(len(sizes))]``, the parts of size > 0 coded on two threads.
+
+    The calling thread codes the largest part and the worker the rest, largest
+    first. Only kernel calls and numpy release the GIL, so the parts run
+    serially on the Python coder, and when at most one part has work. Results
+    and the error raised are those of the serial loop: every task finishes,
+    then results are read in part order, so the lowest-numbered failing part
+    raises.
+    """
+    busy = sorted((n for n, size in enumerate(sizes) if size), key=lambda n: -sizes[n])
+    if len(busy) < 2 or kernel.coder_name() == "python":  # loads the kernel here, before any task
+        return [work(n) for n in range(len(sizes))]
+    tasks = {n: _part_worker().submit(work, n) for n in busy[1:]}
+    try:
+        tasks[busy[0]] = _settled(work, busy[0])
+    finally:
+        wait(tasks.values())
+    return [tasks[n].result() if n in tasks else work(n) for n in range(len(sizes))]
+
+
 def encode_cloud(cloud: PointCloud, cfg: CodecConfig) -> Container:
     """Quantize each radial part, code its octree, and pack the container."""
     steps, thresholds = _header_lattice(cloud, cfg)
-    parts = partition_multilevel(cloud, cfg.parts, steps.rho_max, cfg.system)
-    records = []
-    for n, part in enumerate(parts):
-        if len(part) == 0:
-            records.append(PartRecord(0, True, b""))
-            continue
-        tree = build(quantize(part, part_steps(steps, n)))
-        payload = kernel.encode_part(tree.all_symbols(), tree.depth)
-        records.append(PartRecord(tree.node_count, False, payload))
+    part = part_assignment(cloud.points, cfg.parts, steps.rho_max, cfg.system)
+    sizes = np.bincount(part, minlength=cfg.parts.n_parts).tolist() if cfg.parts.n_parts > 1 else [len(cloud)]
+
+    def code(n: int) -> PartRecord:
+        if not sizes[n]:
+            return PartRecord(0, True, b"")
+        part_cloud = cloud if len(sizes) == 1 else PointCloud(cloud.points[part == n])
+        qc = quantize(part_cloud, part_steps(steps, n))
+        depth = qc.steps.depth
+        symbols = kernel.octree_symbols(np.sort(_interleave(qc.indices, depth)), depth)
+        return PartRecord(len(symbols), False, kernel.encode_part(symbols, depth))
+
     return Container(
         cfg.system,
         steps.depth,
@@ -284,7 +344,7 @@ def encode_cloud(cloud: PointCloud, cfg: CodecConfig) -> Container:
         steps.rho_max,
         steps.origin_offset,
         thresholds,
-        tuple(records),
+        tuple(_code_parts(code, sizes)),
         len(cloud),
     )
 
@@ -292,10 +352,11 @@ def encode_cloud(cloud: PointCloud, cfg: CodecConfig) -> Container:
 def decode_cloud(container: Container) -> PointCloud:
     """Voxel centers of every non-empty part, in part order."""
     steps = container.base_steps()
-    chunks = []
-    for n, part in enumerate(container.parts):
+
+    def decode(n: int) -> np.ndarray | None:
+        part = container.parts[n]
         if part.empty:
-            continue
+            return None
         if part.symbol_count == 0:
             raise CorruptStreamError(f"part {n}: zero symbols but not flagged empty")
         st = part_steps(steps, n)
@@ -307,7 +368,10 @@ def decode_cloud(container: Container) -> PointCloud:
         except CorruptStreamError as exc:
             raise CorruptStreamError(f"part {n}: {exc}") from None
         qc = QuantizedCloud(_deinterleave(codes, st.depth), st, part.symbol_count)
-        chunks.append(dequantize(qc).points)
+        return dequantize(qc).points
+
+    sizes = [0 if part.empty else part.symbol_count for part in container.parts]
+    chunks = [points for points in _code_parts(decode, sizes) if points is not None]
     if not chunks:
         raise CorruptStreamError("container has no non-empty parts")
     return PointCloud(np.concatenate(chunks, axis=0))

@@ -29,8 +29,8 @@ def _wrap_theta(theta: np.ndarray) -> np.ndarray:
     return np.where(theta >= 2.0 * np.pi, 0.0, theta)
 
 
-def cart_to_sph(p: np.ndarray) -> np.ndarray:
-    """(..., 3) xyz → (..., 3) of (ρ, θ∈[0,2π), φ∈[0,π])."""
+def _sph_columns(p: np.ndarray) -> tuple:
+    """ρ, θ and φ of (..., 3) xyz, one array each."""
     p = np.asarray(p, dtype=np.float64)
     x, y, z = p[..., 0], p[..., 1], p[..., 2]
     rho = radial_coord(p, SPHERICAL)
@@ -38,7 +38,12 @@ def cart_to_sph(p: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore"):
         phi = np.arccos(np.clip(np.where(rho > 0, z / rho, 1.0), -1.0, 1.0))
     zero = rho == 0
-    return np.stack([rho, np.where(zero, 0.0, theta), np.where(zero, 0.0, phi)], axis=-1)
+    return rho, np.where(zero, 0.0, theta), np.where(zero, 0.0, phi)
+
+
+def cart_to_sph(p: np.ndarray) -> np.ndarray:
+    """(..., 3) xyz → (..., 3) of (ρ, θ∈[0,2π), φ∈[0,π])."""
+    return np.stack(_sph_columns(p), axis=-1)
 
 
 def sph_to_cart(s: np.ndarray) -> np.ndarray:
@@ -51,13 +56,18 @@ def sph_to_cart(s: np.ndarray) -> np.ndarray:
     )
 
 
-def cart_to_cyl(p: np.ndarray) -> np.ndarray:
-    """(..., 3) xyz → (..., 3) of (ρ, θ∈[0,2π), z)."""
+def _cyl_columns(p: np.ndarray) -> tuple:
+    """ρ, θ and z of (..., 3) xyz, one array each."""
     p = np.asarray(p, dtype=np.float64)
     x, y, z = p[..., 0], p[..., 1], p[..., 2]
     rho = radial_coord(p, CYLINDRICAL)
     theta = _wrap_theta(np.arctan2(y, x))
-    return np.stack([rho, np.where(rho == 0, 0.0, theta), z], axis=-1)
+    return rho, np.where(rho == 0, 0.0, theta), z
+
+
+def cart_to_cyl(p: np.ndarray) -> np.ndarray:
+    """(..., 3) xyz → (..., 3) of (ρ, θ∈[0,2π), z)."""
+    return np.stack(_cyl_columns(p), axis=-1)
 
 
 def cyl_to_cart(c: np.ndarray) -> np.ndarray:
@@ -181,22 +191,32 @@ def derive_steps(system: str, q: float, cloud: PointCloud, rho_max: float | None
     return lattice_steps(system, q, rho_max, max(1, int(top).bit_length()), origin)
 
 
+# Offsets, steps and index·step are applied one column at a time: broadcasting
+# a 3-vector over an (N, 3) array runs numpy's inner loop N times over 3
+# elements. Each element sees the same IEEE operation either way, so the bits
+# are those of ``coords - offset[None, :]``, ``coords / step[None, :]`` and
+# ``idx * step[None, :]``.
+
+
+def _coordinate_columns(points: np.ndarray, steps: QuantSteps) -> list:
+    """The system's offset-corrected coordinates of Cartesian points, one array per axis."""
+    if steps.system == SPHERICAL:
+        return list(_sph_columns(points))
+    columns = _cyl_columns(points) if steps.system == CYLINDRICAL else np.asarray(points, dtype=np.float64).T
+    return [column - offset for column, offset in zip(columns, steps.offset_vector())]
+
+
 def transform_points(points: np.ndarray, steps: QuantSteps) -> np.ndarray:
     """Cartesian points → the system's (offset-corrected) coordinate triples."""
-    if steps.system == SPHERICAL:
-        return cart_to_sph(points)
-    if steps.system == CYLINDRICAL:
-        return cart_to_cyl(points) - steps.offset_vector()[None, :]
-    return np.asarray(points, dtype=np.float64) - steps.offset_vector()[None, :]
+    return np.stack(_coordinate_columns(points, steps), axis=-1)
 
 
 def untransform_points(coords: np.ndarray, steps: QuantSteps) -> np.ndarray:
     """Inverse of :func:`transform_points`."""
     if steps.system == SPHERICAL:
         return sph_to_cart(coords)
-    if steps.system == CYLINDRICAL:
-        return cyl_to_cart(coords + steps.offset_vector()[None, :])
-    return coords + steps.offset_vector()[None, :]
+    shifted = np.stack([coords[:, k] + offset for k, offset in enumerate(steps.offset_vector())], axis=-1)
+    return cyl_to_cart(shifted) if steps.system == CYLINDRICAL else shifted
 
 
 def _lattice_indices(points: np.ndarray, steps: QuantSteps) -> np.ndarray:
@@ -206,11 +226,19 @@ def _lattice_indices(points: np.ndarray, steps: QuantSteps) -> np.ndarray:
     ``rho_max``; a radius whose index lands beyond it is refused, not clipped
     to the outermost radial bin.
     """
-    coords = transform_points(points, steps)
-    idx = np.round(coords / steps.step_vector()[None, :]).astype(np.int64)
+    columns = _coordinate_columns(points, steps)
+    idx = np.empty((len(columns[0]), 3), dtype=np.int64)
+    for k, (column, step) in enumerate(zip(columns, steps.step_vector())):
+        ratio = column / step
+        idx[:, k] = np.round(ratio, out=ratio)
     if steps.system != CARTESIAN and idx[:, 0].max(initial=0) >> steps.depth:
-        raise ConfigError(f"rho_max={steps.rho_max} smaller than cloud max radius {coords[:, 0].max():.6g}")
+        raise ConfigError(f"rho_max={steps.rho_max} smaller than cloud max radius {columns[0].max():.6g}")
     return np.clip(idx, 0, (1 << steps.depth) - 1, out=idx)
+
+
+def _index_coords(idx: np.ndarray, steps: QuantSteps) -> np.ndarray:
+    """index·step per axis: the system's coordinates of lattice points."""
+    return np.stack([idx[:, k] * step for k, step in enumerate(steps.step_vector())], axis=-1)
 
 
 def quantize(cloud: PointCloud, steps: QuantSteps) -> QuantizedCloud:
@@ -229,8 +257,7 @@ def quantize(cloud: PointCloud, steps: QuantSteps) -> QuantizedCloud:
 
 def dequantize(qc: QuantizedCloud) -> PointCloud:
     """Map index triples back to Cartesian voxel centers."""
-    coords = qc.indices.astype(np.float64) * qc.steps.step_vector()[None, :]
-    return PointCloud(untransform_points(coords, qc.steps))
+    return PointCloud(untransform_points(_index_coords(qc.indices, qc.steps), qc.steps))
 
 
 def reconstruct_points(points: np.ndarray, steps: QuantSteps) -> np.ndarray:
@@ -239,5 +266,4 @@ def reconstruct_points(points: np.ndarray, steps: QuantSteps) -> np.ndarray:
     Used by the error-analysis pipeline, which needs the original↔reconstruction
     pairing that the deduplicating codec path discards.
     """
-    idx = _lattice_indices(points, steps)
-    return untransform_points(idx * steps.step_vector()[None, :], steps)
+    return untransform_points(_index_coords(_lattice_indices(points, steps), steps), steps)

@@ -1,12 +1,14 @@
 """The part coder: ``part_kernel.c`` built on first use and called through ctypes, or the Python coder.
 
-:func:`encode_part` and :func:`decode_part` code one radial part, and this
-module alone chooses the coder. :func:`load` compiles the C source with the
-system ``cc`` into a per-user cache the first time a coder asks for it;
-without a compiler, or without a cache directory private to the user, it
-returns None and both run the per-node Python coder (``_encode_per_node``,
+:func:`octree_symbols`, :func:`encode_part` and :func:`decode_part` code one
+radial part, and this module alone chooses the coder. :func:`load` compiles
+the C source with the system ``cc`` into a per-user cache the first time a
+coder asks for it; without a compiler, or without a cache directory private
+to the user, it returns None and all three run in Python: the octree's numpy
+level loop (``octree._levels``) and the per-node coder (``_encode_per_node``,
 ``_decode_per_node``). That coder writes the same bytes and raises the same
-errors 150–300 times slower per symbol (README, *Speed*).
+errors 150–300 times slower per symbol (README, *Speed*). Kernel calls
+release the GIL, so parts can be coded on several threads.
 """
 
 from __future__ import annotations
@@ -26,14 +28,15 @@ import numpy as np
 
 from . import entropy
 from .errors import CorruptStreamError
-from .octree import ContextCursor, _expand_cells, occupancy_stream, rebuild
+from .octree import MAX_DEPTH, ContextCursor, _expand_cells, _levels, occupancy_stream, rebuild
 
 SOURCE = Path(__file__).with_name("part_kernel.c")
 CFLAGS = ("-O2", "-shared", "-fPIC")
 
 # error codes of part_kernel.c
-_EXHAUSTED, _DESYNC, _COUNT_INSIDE, _COUNT_EXCEEDS, _NOMEM, _CAPACITY, _SHAPE = range(-1, -8, -1)
+_EXHAUSTED, _DESYNC, _COUNT_INSIDE, _COUNT_EXCEEDS, _NOMEM, _CAPACITY, _SHAPE, _LEAVES = range(-1, -9, -1)
 _NOT_AN_OCTREE = "{} symbols are not the breadth-first occupancy of a depth-{} octree"  # _SHAPE, on either coder
+_NOT_LEAVES = "{} leaf codes are not a non-empty, sorted, unique set below 8^{}"  # _LEAVES, on either coder
 
 _u8p = ctypes.POINTER(ctypes.c_uint8)
 _i64p = ctypes.POINTER(ctypes.c_int64)
@@ -41,6 +44,7 @@ _SIGNATURES = {
     "encode_part": [_u8p, ctypes.c_int64, ctypes.c_int, _u8p, ctypes.c_int64],
     "decode_part": [_u8p, ctypes.c_int64, ctypes.c_int, ctypes.c_int64, _u8p, _i64p],
     "leaf_codes": [_u8p, ctypes.c_int, _i64p, ctypes.c_int64],
+    "octree_symbols": [_i64p, ctypes.c_int64, ctypes.c_int, _i64p, _u8p, ctypes.c_int64],
 }
 
 
@@ -120,6 +124,32 @@ def _ptr(array: np.ndarray, kind):
     return array.ctypes.data_as(kind)
 
 
+def octree_symbols(codes: np.ndarray, depth: int) -> np.ndarray:
+    """Breadth-first occupancy symbols of the depth-``depth`` octree over a part's leaf Morton codes.
+
+    ``codes`` are ``np.sort(octree._interleave(indices, depth))`` of unique
+    index triples, and the symbols equal ``build(...).all_symbols()``.
+    ValueError unless they are sorted, unique and below 8^depth.
+    """
+    if codes.dtype != np.int64:
+        raise TypeError(f"leaf codes must be int64, not {codes.dtype}")
+    if not 1 <= depth <= MAX_DEPTH:
+        raise ValueError(f"octree depth {depth} outside [1, {MAX_DEPTH}]")
+    lib = load()
+    if lib is None:
+        return _symbols_per_level(codes, depth)
+    codes = np.ascontiguousarray(codes)
+    n = len(codes)
+    cap = sum(min(n, 8 ** level) for level in range(depth))  # level ℓ + 1 holds at most 8^ℓ nodes
+    cells, symbols = np.empty(n, dtype=np.int64), np.empty(cap, dtype=np.uint8)
+    count = lib.octree_symbols(_ptr(codes, _i64p), n, depth, _ptr(cells, _i64p), _ptr(symbols, _u8p), cap)
+    if count == _LEAVES:
+        raise ValueError(_NOT_LEAVES.format(n, depth))
+    if count < 0:
+        raise RuntimeError(f"part kernel failed with code {count}")
+    return symbols[:count]
+
+
 def encode_part(symbols: np.ndarray, depth: int) -> bytes:
     """Payload of a part's breadth-first occupancy symbols; ValueError unless they form a depth-``depth`` octree."""
     if symbols.dtype != np.uint8:
@@ -172,6 +202,13 @@ def decode_part(payload: bytes, depth: int, symbol_count: int) -> np.ndarray:
     if done != leaves:
         raise RuntimeError(f"part kernel expanded {done} of {leaves} leaves")
     return codes
+
+
+def _symbols_per_level(codes: np.ndarray, depth: int) -> np.ndarray:
+    """The Python twin of ``octree_symbols``: ``build``'s numpy level loop over checked leaf codes."""
+    if not len(codes) or codes[0] < 0 or codes[-1] >> 3 * depth or (codes[1:] <= codes[:-1]).any():
+        raise ValueError(_NOT_LEAVES.format(len(codes), depth))
+    return np.concatenate([level.symbols for level in _levels(codes, depth)])
 
 
 def _encode_per_node(symbols: np.ndarray, depth: int) -> bytes:

@@ -111,7 +111,15 @@ def build(qc: QuantizedCloud) -> Octree:
         raise ConfigError(f"octree depth {depth} outside [1, {MAX_DEPTH}]")
     if len(qc.indices) == 0:
         raise ValueError("cannot build an octree over an empty index set")
-    u = np.sort(_interleave(qc.indices, depth))  # leaf cells; reduceat merges a repeat
+    return Octree(depth, _levels(np.sort(_interleave(qc.indices, depth)), depth))
+
+
+def _levels(u: np.ndarray, depth: int) -> tuple:
+    """Levels 1..depth of the octree over sorted leaf Morton codes ``u``; ``reduceat`` merges a repeated leaf.
+
+    :func:`build` and ``kernel``'s Python fallback for ``part_kernel.c``'s
+    ``octree_symbols`` share this loop.
+    """
     levels = []
     for _ in range(depth):  # bottom-up: u holds the occupied children of this level's nodes
         parents = u >> 3
@@ -121,7 +129,7 @@ def build(qc: QuantizedCloud) -> Octree:
         symbols = np.bitwise_or.reduceat(bits, starts)
         levels.append(OctreeLevel(cells, symbols))
         u = cells
-    return Octree(depth, tuple(reversed(levels)))
+    return tuple(reversed(levels))
 
 
 def leaf_indices(tree: Octree) -> np.ndarray:

@@ -3,12 +3,14 @@
  * The compiled twin of the per-node Python coder, kernel._encode_per_node and
  * kernel._decode_per_node: an entropy.AdaptiveContextModel over the contexts
  * of octree.ContextCursor. FORMAT.md specifies the bits. Symbols are one
- * breadth-first occupancy byte per node, levels 1..depth. Every buffer
+ * breadth-first occupancy byte per node, levels 1..depth; octree_symbols
+ * derives them from a part's leaf Morton codes. Every buffer
  * belongs to the caller; the functions return a count, or a negative error
  * code with details in info[0..1], and never write past a buffer's capacity.
  */
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define TOP (1u << 24)
 #define COUNT_CAP 65026 /* raw total past which counts halve: 2^16 - 510 */
@@ -23,6 +25,7 @@ enum {
     ERR_NOMEM = -5,
     ERR_CAPACITY = -6,     /* encoder output buffer too small */
     ERR_SHAPE = -7,        /* encoder input is not a depth-level tree */
+    ERR_LEAVES = -8,       /* leaf codes not sorted, unique and below 8^depth */
 };
 
 /* Fenwick tree over f_s = n_s + 1 (slot 0 unused) and raw counts n_s (slot 0:
@@ -240,4 +243,35 @@ int64_t leaf_codes(const uint8_t *symbols, int depth, int64_t *codes, int64_t le
         nodes = next;
     }
     return nodes == leaves ? nodes : ERR_SHAPE;
+}
+
+/* Breadth-first symbols of the depth-level octree over n sorted, unique leaf
+ * Morton codes below 8^depth, into symbols[0..count); cells is n codes of
+ * scratch. Levels are built bottom up. Each is scanned from its last node, so
+ * its symbols land in symbols[0..cap) just below those of the level beneath,
+ * and its parents' cells fill cells[..n) from the end, over children already
+ * read: a level never has more nodes than the level below has read so far.
+ * Returns the symbol count. */
+int64_t octree_symbols(const int64_t *codes, int64_t n, int depth, int64_t *cells, uint8_t *symbols,
+                       int64_t cap) {
+    if (n < 1 || depth < 1 || depth > 20) return ERR_LEAVES;
+    for (int64_t i = 0; i < n; i++)
+        if (codes[i] < 0 || codes[i] >> 3 * depth || (i && codes[i] <= codes[i - 1])) return ERR_LEAVES;
+    const int64_t *u = codes;
+    int64_t lo = 0, w = cap;
+    for (int level = depth; level >= 1; level--) {
+        int64_t k = n;
+        for (int64_t i = n - 1; i >= lo;) {
+            int64_t parent = u[i] >> 3;
+            unsigned sym = 0;
+            for (; i >= lo && u[i] >> 3 == parent; i--) sym |= 1u << (u[i] & 7);
+            if (w == 0) return ERR_CAPACITY;
+            symbols[--w] = (uint8_t)sym;
+            cells[--k] = parent;
+        }
+        u = cells;
+        lo = k;
+    }
+    memmove(symbols, symbols + w, (size_t)(cap - w));
+    return cap - w;
 }

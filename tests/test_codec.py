@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import multiprocessing
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -273,6 +276,78 @@ def test_symbol_count_mismatch_raises():
         )
         with pytest.raises(CorruptStreamError):
             decode_cloud(bad)
+
+
+_KITTI11 = CodecConfig(system="spherical", depth=11, convention="kitti")
+
+
+@pytest.mark.parametrize("python_coder", [False, True])
+def test_decode_raises_the_first_failing_part_in_part_order(monkeypatch, python_coder):
+    # part 0's payload is cut short, so its decoder runs out of bytes; part 2,
+    # the largest part and so the calling thread's, has a symbol count that
+    # fails the check made before any decoder runs. The serial loop stops at part 0.
+    if python_coder:
+        monkeypatch.setattr(kernel, "load", lambda: None)
+    cloud = synth_lidar(SynthParams(beams=8, points_per_ring=128, seed=2))
+    good = encode_cloud(cloud, _KITTI11)
+    p0, p1, p2 = good.parts
+    assert not (p0.empty or p1.empty or p2.empty)
+    points = decode_cloud(good).points
+    steps = good.base_steps()
+    cut = p0.payload[: len(p0.payload) // 2]
+    with pytest.raises(CorruptStreamError) as first:
+        kernel.decode_part(cut, part_steps(steps, 0).depth, p0.symbol_count)
+    huge = 1 << 62
+    assert codec._symbol_count_fault(huge, part_steps(steps, 2).depth, len(p2.payload))
+    bad = dataclasses.replace(good, parts=(dataclasses.replace(p0, payload=cut), p1,
+                                           dataclasses.replace(p2, symbol_count=huge)))
+    for _ in range(3):
+        with pytest.raises(CorruptStreamError) as raised:
+            decode_cloud(bad)
+        assert str(raised.value) == f"part 0: {first.value}"
+    # the failed call leaves nothing behind that changes the next one
+    np.testing.assert_array_equal(decode_cloud(good).points, points)
+
+
+def _round_trip(cloud, cfg):
+    blob = encode_cloud(cloud, cfg).to_bytes()
+    return blob, decode_cloud(Container.from_bytes(blob)).points.tobytes()
+
+
+def test_a_forked_child_codes_parts_like_its_parent():
+    # the parent's part worker is a thread, which fork does not copy
+    cloud = synth_lidar(SynthParams(beams=8, points_per_ring=128, seed=2))
+    blob, points = _round_trip(cloud, _KITTI11)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        child = pool.apply_async(_round_trip, (cloud, _KITTI11)).get(timeout=60)
+    assert child == (blob, points)
+
+
+def test_threads_coding_at_once_get_the_serial_results():
+    clouds = [synth_lidar(SynthParams(beams=8, points_per_ring=128, seed=s)) for s in range(3)]
+    cfgs = [_KITTI11, CodecConfig(system="cylindrical", depth=10, convention="kitti"),
+            CodecConfig(system="spherical", q=0.4)]
+    serial = [_round_trip(cloud, cfg) for cloud, cfg in zip(clouds, cfgs)]
+    start = threading.Barrier(len(clouds))
+    results = [[] for _ in clouds]
+
+    def run(k):
+        start.wait()
+        for _ in range(4):
+            results[k].append(_round_trip(clouds[k], cfgs[k]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(clouds))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[expected] * 4 for expected in serial]
 
 
 def _decoders_must_not_run(monkeypatch):

@@ -1,5 +1,6 @@
 """Coordinate transforms and lattice quantization."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -241,6 +242,40 @@ def test_half_step_error_per_axis(system):
         err[:, 1] = np.minimum(err[:, 1], 2 * np.pi - err[:, 1])  # θ wraps
     bound = steps.step_vector() / 2
     assert (err <= bound[None, :] + 1e-9).all()
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("system", [CARTESIAN, CYLINDRICAL, SPHERICAL])
+def test_column_arithmetic_matches_the_broadcast_expressions(system):
+    # the lattice code offsets, divides and multiplies one column at a time;
+    # each element must see the broadcast form's IEEE operation, zeros' signs included
+    from lidarpcc.coords import _lattice_indices, transform_points
+
+    rng = np.random.default_rng(17)
+    for trial in range(30):
+        pts = rng.normal(size=(400, 3)) * 10.0 ** rng.integers(-3, 4)
+        pts[rng.random(pts.shape) < 0.1] = 0.0
+        pts[rng.random(pts.shape) < 0.1] = -0.0
+        steps = derive_steps(system, float(np.abs(pts).max()) / 100, PointCloud(pts))
+        if trial % 2:  # an origin of signed zeros, which the subtraction must keep
+            steps = dataclasses.replace(steps, origin_offset=(-0.0, 0.0, -0.0))
+        offset, step = steps.offset_vector()[None, :], steps.step_vector()[None, :]
+        if system == SPHERICAL:
+            coords, back = cart_to_sph(pts), sph_to_cart
+        elif system == CYLINDRICAL:
+            coords, back = cart_to_cyl(pts) - offset, lambda c: cyl_to_cart(c + offset)
+        else:
+            coords, back = pts - offset, lambda c: c + offset
+        idx = np.clip(np.round(coords / step).astype(np.int64), 0, (1 << steps.depth) - 1)
+        np.testing.assert_array_equal(_bits(transform_points(pts, steps)), _bits(coords))
+        np.testing.assert_array_equal(_lattice_indices(pts, steps), idx)
+        np.testing.assert_array_equal(_bits(reconstruct_points(pts, steps)), _bits(back(idx * step)))
+        unique = np.unique(idx, axis=0)
+        centres = dequantize(QuantizedCloud(unique, steps, len(pts))).points
+        np.testing.assert_array_equal(_bits(centres), _bits(back(unique.astype(np.float64) * step)))
 
 
 def test_dequantize_centers_are_lattice_points():

@@ -42,6 +42,7 @@ from lidarpcc.coords import (
 from lidarpcc.errors import CorruptStreamError, FormatError
 from lidarpcc.octree import (
     MultiLevelConfig,
+    _deinterleave,
     _interleave,
     build,
     leaf_indices,
@@ -58,7 +59,7 @@ def _outcome(call, *args):
         out = call(*args)
     except (FormatError, CorruptStreamError) as exc:
         return f"{type(exc).__name__}: {exc}"
-    return out if isinstance(out, bytes) else out.tolist()
+    return out.tolist() if isinstance(out, np.ndarray) else out
 
 
 def on_both_coders(call, *args):
@@ -73,6 +74,10 @@ def on_both_coders(call, *args):
 
 def _leaf_codes(tree) -> list:
     return _interleave(leaf_indices(tree), tree.depth).tolist()
+
+
+def _sorted_codes(qc) -> np.ndarray:
+    return np.sort(_interleave(qc.indices, qc.steps.depth))
 
 
 @st.composite
@@ -104,8 +109,10 @@ def test_codec_matches_reference_path(case, data):
             assert record.empty
             continue
         depth = part_steps(steps, n).depth
-        tree = build(quantize(part, part_steps(steps, n)))
+        qc = quantize(part, part_steps(steps, n))
+        tree = build(qc)
         payload, count = record.payload, record.symbol_count
+        assert on_both_coders(kernel.octree_symbols, _sorted_codes(qc), depth) == tree.all_symbols().tolist()
         assert on_both_coders(kernel.encode_part, tree.all_symbols(), depth) == payload
         assert on_both_coders(kernel.decode_part, payload, depth, count) == _leaf_codes(tree)
 
@@ -133,7 +140,9 @@ def test_deep_levels_share_capped_contexts():
     depth = 19
     indices = rng.integers(0, 1 << depth, size=(40, 3))
     steps = QuantSteps(CARTESIAN, 1.0, 0.0, 0.0, 1 << depth, depth, 0.0)
-    tree = build(QuantizedCloud(indices, steps, len(indices)))
+    qc = QuantizedCloud(np.unique(indices, axis=0), steps, len(indices))
+    tree = build(qc)
+    assert on_both_coders(kernel.octree_symbols, _sorted_codes(qc), depth) == tree.all_symbols().tolist()
     payload = on_both_coders(kernel.encode_part, tree.all_symbols(), depth)
     assert on_both_coders(kernel.decode_part, payload, depth, tree.node_count) == _leaf_codes(tree)
 
@@ -147,11 +156,39 @@ def test_both_coders_halve_counts_alike():
     depth = 20
     indices = np.stack([a.ravel(), b.ravel(), c.ravel()], axis=1) << (depth - 5) | ((1 << (depth - 5)) - 1)
     steps = QuantSteps(CARTESIAN, 1.0, 0.0, 0.0, 1 << depth, depth, 0.0)
-    tree = build(QuantizedCloud(indices, steps, len(indices)))
+    qc = QuantizedCloud(indices, steps, len(indices))
+    tree = build(qc)
     if kernel.load() is None:
         pytest.skip("compiled kernel not in use")
+    assert on_both_coders(kernel.octree_symbols, _sorted_codes(qc), depth) == tree.all_symbols().tolist()
     payload = on_both_coders(kernel.encode_part, tree.all_symbols(), depth)
     assert on_both_coders(kernel.decode_part, payload, depth, tree.node_count) == _leaf_codes(tree)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 20), st.data())
+def test_octree_symbols_agree_on_any_codes(depth, data):
+    # sorted unique codes below 8^depth give build's symbols; anything else the same ValueError on both coders
+    top = 8**depth
+    near = st.integers(-2, 2) | st.integers(top - 2, top + 2) | st.integers(-(2**63), 2**63 - 1)
+    codes = data.draw(st.lists(st.integers(0, top - 1) | near, max_size=40))
+    if data.draw(st.booleans()):
+        codes = sorted(set(codes))
+    codes = np.array(codes, dtype=np.int64)
+    outcome = on_both_coders(_symbols_or_error, codes, depth)
+    if len(codes) and codes[0] >= 0 and codes[-1] < top and (codes[1:] > codes[:-1]).all():
+        indices = _deinterleave(codes, depth)
+        steps = QuantSteps(CARTESIAN, 1.0, 0.0, 0.0, 1 << depth, depth, 0.0)
+        assert outcome == build(QuantizedCloud(indices, steps, len(codes))).all_symbols().tolist()
+    else:
+        assert outcome == f"ValueError: {len(codes)} leaf codes are not a non-empty, sorted, unique set below 8^{depth}"
+
+
+def _symbols_or_error(codes, depth):
+    try:
+        return kernel.octree_symbols(codes, depth).tolist()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
 
 
 # ---------------------------------------------------------------------------

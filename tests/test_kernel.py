@@ -106,3 +106,18 @@ def test_encode_part_rejects_what_is_not_an_octree(monkeypatch):
             message = f"^{len(symbols)} symbols are not the breadth-first occupancy of a depth-{depth} octree$"
             with pytest.raises(ValueError, match=message):
                 kernel.encode_part(np.array(symbols, dtype=np.uint8), depth)
+
+
+def test_octree_symbols_rejects_what_are_not_leaf_codes(monkeypatch):
+    for python_coder in (False, True):  # the kernel first, when it loads
+        if python_coder:
+            monkeypatch.setattr(kernel, "load", lambda: None)
+        with pytest.raises(TypeError, match="^leaf codes must be int64, not int32$"):
+            kernel.octree_symbols(np.array([1, 2], dtype=np.int32), 1)
+        for depth in (0, 21):
+            with pytest.raises(ValueError, match=rf"^octree depth {depth} outside \[1, 20\]$"):
+                kernel.octree_symbols(np.array([0]), depth)
+        for codes, depth in (([], 1), ([2, 1], 1), ([1, 1], 1), ([-1, 3], 1), ([0, 8], 1), ([7, 64], 2)):
+            message = rf"^{len(codes)} leaf codes are not a non-empty, sorted, unique set below 8\^{depth}$"
+            with pytest.raises(ValueError, match=message):
+                kernel.octree_symbols(np.array(codes, dtype=np.int64), depth)
