@@ -202,6 +202,8 @@ def error_colormap_export(
     errors = np.asarray(errors, dtype=np.float64)
     if errors.shape != (len(pts),):
         raise ConfigError("one error per point required")
+    if bins < 1:
+        raise ConfigError(f"bins must be at least 1, got {bins}")
     write_ply(PointCloud(pts, attr=errors, attr_name="error"), ply_path)
 
     emax = float(errors.max()) if len(errors) else 0.0

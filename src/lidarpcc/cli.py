@@ -344,6 +344,8 @@ def _bench_row(points, cfg, peak):
 
 
 def cmd_bench(args, stages) -> RunRecord:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     with _stage(stages, "read"):
         cloud = _read_cloud(args.input)
     systems = [s.strip() for s in args.systems.split(",")]

@@ -8,7 +8,8 @@ Container layout (all little-endian, see FORMAT.md):
     original_count u64
 
 Every part is an independent octree stream with a fresh adaptive model, so
-parts decode in isolation, and one call codes its parts on two threads.
+parts decode in isolation, and one call codes its parts on two threads: its
+own and a helper that it starts and joins, so no thread outlives the call.
 rho_max, q and the header depth fully determine the quantization lattice;
 decoding is deterministic with no side state.
 """
@@ -16,10 +17,8 @@ decoding is deterministic with no side state.
 from __future__ import annotations
 
 import math
-import os
 import struct
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -268,58 +267,41 @@ def _header_lattice(cloud: PointCloud, cfg: CodecConfig) -> tuple[QuantSteps, tu
     return steps, thresholds
 
 
-# The worker that codes all parts but the largest while the calling thread
-# codes that one. It starts on first use, so importing starts no thread, and a
-# forked child, which has no copy of the thread, starts its own.
-_worker: ThreadPoolExecutor | None = None
-_worker_lock = threading.Lock()
-
-
-def _forget_worker() -> None:
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_worker)
-
-
-def _part_worker() -> ThreadPoolExecutor:
-    global _worker
-    with _worker_lock:
-        if _worker is None:
-            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="lidarpcc-part")
-        return _worker
-
-
-def _settled(work, n: int) -> Future:
-    """``work(n)``'s result or exception, held as a finished future."""
-    done = Future()
-    try:
-        done.set_result(work(n))
-    except Exception as exc:
-        done.set_exception(exc)
-    return done
-
-
 def _code_parts(work, sizes) -> list:
     """``[work(n) for n in range(len(sizes))]``, the parts of size > 0 coded on two threads.
 
-    The calling thread codes the largest part and the worker the rest, largest
-    first. Only kernel calls and numpy release the GIL, so the parts run
-    serially on the Python coder, and when at most one part has work. Results
-    and the error raised are those of the serial loop: every task finishes,
-    then results are read in part order, so the lowest-numbered failing part
-    raises.
+    The calling thread codes the largest part while a helper thread, started
+    for this call and joined before it returns, codes the rest, largest first.
+    Only kernel calls and numpy release the GIL, so the parts run serially on
+    the Python coder, and when at most one part has work. Results and the
+    error raised are those of the serial loop: both threads finish, then
+    results are read in part order, so the lowest-numbered failing part raises.
     """
     busy = sorted((n for n, size in enumerate(sizes) if size), key=lambda n: -sizes[n])
-    if len(busy) < 2 or kernel.coder_name() == "python":  # loads the kernel here, before any task
+    if len(busy) < 2 or kernel.coder_name() == "python":  # loads the kernel here, before the helper starts
         return [work(n) for n in range(len(sizes))]
-    tasks = {n: _part_worker().submit(work, n) for n in busy[1:]}
+    outcomes = {}  # part → (True, result) or (False, exception)
+
+    def settle(parts) -> None:
+        for n in parts:
+            try:
+                outcomes[n] = True, work(n)
+            except Exception as exc:
+                outcomes[n] = False, exc
+
+    helper = threading.Thread(target=settle, args=(busy[1:],), name="lidarpcc-part")
+    helper.start()
     try:
-        tasks[busy[0]] = _settled(work, busy[0])
+        settle(busy[:1])
     finally:
-        wait(tasks.values())
-    return [tasks[n].result() if n in tasks else work(n) for n in range(len(sizes))]
+        helper.join()
+    results = []
+    for n in range(len(sizes)):
+        ok, value = outcomes[n] if n in outcomes else (True, work(n))
+        if not ok:
+            raise value
+        results.append(value)
+    return results
 
 
 def encode_cloud(cloud: PointCloud, cfg: CodecConfig) -> Container:

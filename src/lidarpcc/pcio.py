@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 
 _KITTI_RECORD_BYTES = 16  # four little-endian float32 per return: x, y, z, intensity
 
@@ -259,11 +259,15 @@ def synth_lidar(params: SynthParams) -> PointCloud:
     ρ ≤ rho_max + 3·noise_sigma. Dropout removes returns independently.
     """
     if params.beams < 1 or params.points_per_ring < 1:
-        raise ValueError("beams and points_per_ring must be ≥ 1")
+        raise ConfigError("beams and points_per_ring must be ≥ 1")
     if not 0.0 <= params.dropout < 1.0:
-        raise ValueError("dropout must be in [0, 1)")
-    if params.rho_max <= 0:
-        raise ValueError("rho_max must be positive")
+        raise ConfigError("dropout must be in [0, 1)")
+    if not 0 < params.rho_max < np.inf:
+        raise ConfigError("rho_max must be finite and positive")
+    if not 0 <= params.noise_sigma < np.inf:
+        raise ConfigError("noise_sigma must be finite and ≥ 0")
+    if params.fixed_range is not None and not 0 < params.fixed_range < np.inf:
+        raise ConfigError("fixed_range must be finite and positive")
     rng = np.random.default_rng(params.seed)
     lo, hi = np.deg2rad(params.elevation_deg)
     elev = np.linspace(lo, hi, params.beams)

@@ -328,6 +328,15 @@ def test_exit_codes(scan, tmp_path):
         proc = run(*argv)
         assert proc.returncode == 2, argv
         assert proc.stderr.startswith("lidarpcc: error: depth must be at least 1"), argv
+    for argv in (("synth", tmp_path / "s.bin", "--beams", "0"),
+                 ("synth", tmp_path / "s.bin", "--points-per-ring", "0"),
+                 ("synth", tmp_path / "s.bin", "--dropout", "1.5"),
+                 ("synth", tmp_path / "s.bin", "--rho-max", "-1"),
+                 ("analyze", scan, "--depth", "9", "--ply", tmp_path / "e.ply", "--bins", "0"),
+                 ("bench", scan, tmp_path / "b.csv", "--depths", "8", "--workers", "0")):
+        proc = run(*argv)
+        assert proc.returncode == 2, argv
+        assert proc.stderr.startswith("lidarpcc: error: "), argv
     assert not list(tmp_path.iterdir())
 
     enc = tmp_path / "t.scp"

@@ -314,8 +314,19 @@ def _round_trip(cloud, cfg):
     return blob, decode_cloud(Container.from_bytes(blob)).points.tobytes()
 
 
+@pytest.mark.parametrize("python_coder", [False, True])
+def test_no_thread_outlives_a_call(monkeypatch, python_coder):
+    if python_coder:
+        monkeypatch.setattr(kernel, "load", lambda: None)
+    cloud = synth_lidar(SynthParams(beams=8, points_per_ring=128, seed=2))
+    container = encode_cloud(cloud, _KITTI11)
+    assert len(container.parts) == 3 and not any(p.empty for p in container.parts)
+    decode_cloud(container)
+    assert [t.name for t in threading.enumerate() if t.name.startswith("lidarpcc-part")] == []
+
+
 def test_a_forked_child_codes_parts_like_its_parent():
-    # the parent's part worker is a thread, which fork does not copy
+    # the parent codes its parts on a helper thread before it forks; the child starts its own
     cloud = synth_lidar(SynthParams(beams=8, points_per_ring=128, seed=2))
     blob, points = _round_trip(cloud, _KITTI11)
     with multiprocessing.get_context("fork").Pool(1) as pool:

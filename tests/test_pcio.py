@@ -1,9 +1,11 @@
 """File I/O and the synthetic LiDAR generator."""
 
+import math
+
 import numpy as np
 import pytest
 
-from lidarpcc.errors import FormatError
+from lidarpcc.errors import ConfigError, FormatError
 from lidarpcc.pcio import (
     PointCloud,
     SynthParams,
@@ -275,3 +277,7 @@ def test_synth_validation():
         synth_lidar(SynthParams(dropout=1.0))
     with pytest.raises(ValueError):
         synth_lidar(SynthParams(rho_max=-1.0))
+    for bad in (dict(rho_max=math.nan), dict(noise_sigma=-0.1), dict(fixed_range=0.0),
+                dict(fixed_range=-5.0), dict(fixed_range=math.inf)):
+        with pytest.raises(ConfigError):
+            synth_lidar(SynthParams(**bad))
