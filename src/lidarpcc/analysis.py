@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import CodecConfig, pipeline_reconstruct
+from .codec import CodecConfig, check_finite_positive, pipeline_reconstruct
 from .coords import CARTESIAN, SPHERICAL, radial_coord
 from .errors import ConfigError
 from .octree import MultiLevelConfig
@@ -51,8 +51,7 @@ def bound_cart(q: float) -> float:
 
 def bound_sph(rho, q: float, rho_max: float):
     """Small-angle worst-case error at radius rho on a spherical lattice."""
-    if rho_max <= 0:
-        raise ConfigError("rho_max must be positive")
+    check_finite_positive("rho_max", rho_max)
     return (_SQRT5 * math.pi * q / (2.0 * rho_max)) * np.asarray(rho, dtype=np.float64)
 
 
@@ -78,6 +77,7 @@ def crossover_radii(multipliers=(1, 2, 4), rho_max: float = 1.0) -> np.ndarray:
     one at the same step; radial part n with step q/2ⁿ pushes its crossover
     out by k = 2ⁿ, doubling the reach of part n−1.
     """
+    check_finite_positive("rho_max", rho_max)
     base = _SQRT3 / (_SQRT5 * math.pi)
     return base * rho_max * np.asarray(multipliers, dtype=np.float64)
 

@@ -152,8 +152,17 @@ def _add_codec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rho-max", type=float, default=None, help="override the measured max radius")
 
 
+def _part_count(parts: int | None, default: int) -> int:
+    """--parts, refused below 1, or ``default`` when it is not given."""
+    if parts is not None and parts < 1:
+        raise ConfigError(f"--parts must be at least 1, got {parts}")
+    return default if parts is None else parts
+
+
 def _part_layout(system: str, parts: int | None, thresholds: str | None) -> MultiLevelConfig:
     """Radial parts from --parts/--thresholds; the default is ``MultiLevelConfig()``, or one part for cartesian."""
+    default = MultiLevelConfig()
+    n = _part_count(parts, 1 if system == CARTESIAN else default.n_parts)
     if thresholds is not None:
         try:
             inner = tuple(float(v) for v in thresholds.split(","))
@@ -162,8 +171,6 @@ def _part_layout(system: str, parts: int | None, thresholds: str | None) -> Mult
         if parts is not None and parts != len(inner):
             raise ConfigError(f"--parts {parts} disagrees with {len(inner)} threshold values")
         return MultiLevelConfig(len(inner), inner + (1.0,))
-    default = MultiLevelConfig()
-    n = parts if parts is not None else (1 if system == CARTESIAN else default.n_parts)
     if n == 1:
         return MultiLevelConfig(1, (0.0, 1.0))
     if n == default.n_parts:
@@ -248,7 +255,8 @@ def cmd_metrics(args, stages) -> RunRecord:
 def cmd_analyze(args, stages) -> RunRecord | None:
     if args.crossover:
         rho_max = args.rho_max if args.rho_max is not None else 1.0
-        radii = crossover_radii([2**n for n in range(args.parts or 3)], rho_max)
+        n_parts = _part_count(args.parts, MultiLevelConfig().n_parts)
+        radii = crossover_radii([2**n for n in range(n_parts)], rho_max)
         unit = "m" if args.rho_max is not None else "fraction of rho_max"
         print(f"crossover radii ({unit}): " + " ".join(_G % r for r in radii))
         if args.input is None:
@@ -349,9 +357,6 @@ def cmd_bench(args, stages) -> RunRecord:
     with _stage(stages, "read"):
         cloud = _read_cloud(args.input)
     systems = [s.strip() for s in args.systems.split(",")]
-    for s in systems:
-        if s not in SYSTEMS:
-            raise ConfigError(f"unknown system '{s}' in --systems")
     try:
         depths = [int(d) for d in args.depths.split(",")]
     except ValueError:

@@ -59,8 +59,26 @@ _SYSTEM_CODE = {CARTESIAN: 0, CYLINDRICAL: 1, SPHERICAL: 2}
 _SYSTEM_NAME = {v: k for k, v in _SYSTEM_CODE.items()}
 
 
+def check_finite_positive(name: str, value: float) -> None:
+    """Refuse a value that is not finite and positive, naming its field."""
+    if not 0 < value < math.inf:
+        raise ConfigError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class CodecConfig:
+    """What to code with; a config that constructs is one :func:`resolve_step` can resolve.
+
+    Every rule on the fields alone lives here and is checked when the config is
+    built: the system, convention and depth; depth or q, not both; a depth for
+    ``kitti`` and ``ford``, q or depth for ``raw``; a given q and rho_max
+    finite and positive, for every system; one part for cartesian. What
+    depends on the cloud is refused later: a span the step cannot be measured
+    from by :func:`resolve_step`, a lattice the header cannot hold by
+    ``derive_steps`` and the encoder's header check. ``derive_steps`` checks
+    q and rho_max again, as it is also called without a config.
+    """
+
     system: str = SPHERICAL
     depth: int | None = None
     q: float | None = None
@@ -77,6 +95,15 @@ class CodecConfig:
             raise ConfigError(f"depth must be at least 1, got {self.depth}")
         if self.system == CARTESIAN and self.parts.n_parts != 1:
             raise ConfigError("multi-level parts require an angle-based system; use parts=1 for cartesian")
+        if self.depth is not None and self.q is not None:
+            raise ConfigError("give either depth or q, not both")
+        if self.convention in ("kitti", "ford") and self.depth is None:
+            raise ConfigError(f"convention '{self.convention}' needs a depth")
+        if self.depth is None and self.q is None:
+            raise ConfigError("raw convention needs q or depth")
+        for name in ("q", "rho_max"):
+            if getattr(self, name) is not None:
+                check_finite_positive(name, getattr(self, name))
 
 
 def convention_step(convention: str, depth: int) -> float:
@@ -89,18 +116,20 @@ def convention_step(convention: str, depth: int) -> float:
 
 
 def resolve_step(cfg: CodecConfig, cloud: PointCloud) -> tuple[float, float | None]:
-    """Return (q, rho_max) honoring the convention; rho_max None means measured."""
-    if cfg.depth is not None and cfg.q is not None:
-        raise ConfigError("give either depth or q, not both")
+    """Return (q, rho_max) honoring the convention; rho_max None means measured.
+
+    :class:`CodecConfig` has refused every bad field and combination when it
+    was built, so this refuses only a span it cannot divide: ``raw`` with a
+    depth and no q spreads the cloud's extent, or in the angle systems its
+    rho_max, over 2^D − 1 steps. That fails for a single-voxel Cartesian
+    cloud, for an angle-system cloud with every point at the origin and no
+    given rho_max, and for a rho_max so small that the step underflows to 0.
+    """
     rho_max = cfg.rho_max
     if cfg.convention in ("kitti", "ford"):
-        if cfg.depth is None:
-            raise ConfigError(f"convention '{cfg.convention}' needs a depth")
         return convention_step(cfg.convention, cfg.depth), rho_max
     if cfg.q is not None:
         return float(cfg.q), rho_max
-    if cfg.depth is None:
-        raise ConfigError("raw convention needs q or depth")
     # raw + depth: span the measured coordinate range with 2^D − 1 steps
     denom = (1 << cfg.depth) - 1
     if cfg.system == CARTESIAN:
@@ -112,7 +141,10 @@ def resolve_step(cfg: CodecConfig, cloud: PointCloud) -> tuple[float, float | No
     rm = rho_max if rho_max is not None else float(radial_coord(cloud.points, cfg.system).max())
     if rm <= 0:
         raise ConfigError("cannot derive a step: all points at the origin")
-    return rm / denom, rho_max
+    step = rm / denom
+    if step == 0:
+        raise ConfigError(f"cannot derive a step: rho_max={rm} over {denom} steps underflows to 0")
+    return step, rho_max
 
 
 def _header_fault(system: str, depth: int, q: float, rho_max: float, origin, thresholds) -> str | None:
@@ -377,6 +409,8 @@ def pipeline_reconstruct(cloud: PointCloud, cfg: CodecConfig) -> tuple[np.ndarra
     """
     steps, _ = _header_lattice(cloud, cfg)
     part_idx = part_assignment(cloud.points, cfg.parts, steps.rho_max, cfg.system)
+    if cfg.parts.n_parts == 1:
+        return reconstruct_points(cloud.points, steps), part_idx, steps
     recon = np.empty_like(cloud.points)
     for n in range(cfg.parts.n_parts):
         mask = part_idx == n

@@ -227,9 +227,6 @@ def bd_rate(anchor, test) -> float:
 # Reports
 # ---------------------------------------------------------------------------
 
-_REPORT_FIELDS = ("rate_bpp", "d1_db", "d2_db", "cd")
-
-
 @dataclass(frozen=True)
 class MetricReport:
     d1_db: float

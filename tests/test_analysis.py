@@ -83,6 +83,10 @@ def test_crossover_values():
     np.testing.assert_allclose(rho, [base, 2 * base, 4 * base], rtol=1e-12)
     scaled = crossover_radii([1], rho_max=120.0)
     assert scaled[0] == pytest.approx(base * 120.0)
+    for rho_max in (0.0, -1.0, math.nan, math.inf):
+        for bound in (lambda: crossover_radii([1], rho_max), lambda: bound_sph(1.0, 0.1, rho_max)):
+            with pytest.raises(ConfigError, match=f"^rho_max must be finite and positive, got {rho_max}$"):
+                bound()
 
 
 def test_crossover_is_actual_crossover():

@@ -204,6 +204,12 @@ def test_analyze_crossover(tmp_path):
     assert proc.returncode == 0, proc.stderr
     vals = [float(v) for v in proc.stdout.split(":")[1].split()]
     np.testing.assert_allclose(vals, [0.246562, 0.493124, 0.986247], atol=5e-4)
+    for argv, line in ((("--rho-max", "1.0"), "crossover radii (m): 0.246562 0.493124 0.986247"),
+                       ((), "crossover radii (fraction of rho_max): 0.246562 0.493124 0.986247"),
+                       (("--parts", "2", "--rho-max", "80"), "crossover radii (m): 19.7249 39.4499")):
+        proc = run("analyze", "--crossover", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, line + "\n", ""), argv
+    assert not list(tmp_path.iterdir())
 
 
 def test_bench_and_bdrate(scan, tmp_path):
@@ -337,6 +343,26 @@ def test_exit_codes(scan, tmp_path):
         proc = run(*argv)
         assert proc.returncode == 2, argv
         assert proc.stderr.startswith("lidarpcc: error: "), argv
+    out = tmp_path / "o.scp"
+    for argv, field in (
+        (("encode", scan, out, "--depth", "10", "--rho-max", "-3"), "rho_max"),
+        (("encode", scan, out, "--depth", "10", "--rho-max", "0"), "rho_max"),
+        (("encode", scan, out, "--q", "0.1", "--rho-max", "-3"), "rho_max"),
+        (("encode", scan, out, "--system", "cartesian", "--depth", "8", "--rho-max", "nan"), "rho_max"),
+        (("encode", scan, out, "--depth", "10", "--parts", "0"), "--parts"),
+        (("encode", scan, out, "--depth", "10", "--parts", "-1"), "--parts"),
+        (("bench", scan, tmp_path / "b.csv", "--systems", "spherical", "--depths", "8", "--parts", "0"), "--parts"),
+        (("analyze", "--crossover", "--rho-max", "-1"), "rho_max"),
+        (("analyze", "--crossover", "--parts", "0"), "--parts"),
+        (("analyze", "--crossover", "--parts", "-4"), "--parts"),
+    ):
+        proc = run(*argv)
+        assert proc.returncode == 2, argv
+        assert proc.stderr.startswith("lidarpcc: error: ") and field in proc.stderr, (argv, proc.stderr)
+        assert proc.stdout == "", argv
+    proc = run("bench", scan, tmp_path / "b.csv", "--systems", "spherical,foo", "--depths", "8")
+    assert proc.returncode == 2
+    assert proc.stderr == "lidarpcc: error: unknown coordinate system 'foo'\n"
     assert not list(tmp_path.iterdir())
 
     enc = tmp_path / "t.scp"

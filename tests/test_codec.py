@@ -198,6 +198,9 @@ def test_resolve_step_rules():
     q, _ = resolve_step(CodecConfig(depth=10), cloud)
     rho = np.linalg.norm(cloud.points, axis=1).max()
     assert q == pytest.approx(rho / 1023.0)
+    assert resolve_step(CodecConfig(depth=1, rho_max=5e-324), cloud) == (5e-324, 5e-324)
+    with pytest.raises(ConfigError, match="^cannot derive a step: rho_max=5e-324 over 3 steps underflows to 0$"):
+        resolve_step(CodecConfig(depth=2, rho_max=5e-324), cloud)
 
 
 def test_depth_below_one_is_refused():
@@ -211,6 +214,44 @@ def test_depth_below_one_is_refused():
 def test_cartesian_rejects_multi_part():
     with pytest.raises(ConfigError, match="parts"):
         CodecConfig(system=CARTESIAN, q=0.5)  # default is 3 parts
+
+
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, -3.0, math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    system=st.sampled_from(SYSTEMS),
+    convention=st.sampled_from(CONVENTIONS),
+    depth=st.none() | st.integers(-2, 64),
+    q=st.none() | _EDGE_FLOATS | st.floats(),
+    rho_max=st.none() | _EDGE_FLOATS | st.floats(),
+    parts=st.sampled_from([ONE_PART, MultiLevelConfig()]),
+)
+def test_a_config_that_constructs_resolves(system, convention, depth, q, rho_max, parts):
+    try:
+        cfg = CodecConfig(system=system, depth=depth, q=q, convention=convention, parts=parts, rho_max=rho_max)
+    except ConfigError:
+        return
+    assert (q is None) != (depth is None) and (q is None or 0 < q < math.inf)
+    assert rho_max is None or 0 < rho_max < math.inf
+    try:
+        step, rho = resolve_step(cfg, _cloud())
+    except ConfigError as exc:  # raw: a given rho_max over 2^D − 1 steps can round to a step of 0
+        assert str(exc).startswith(f"cannot derive a step: rho_max={rho_max} over ")
+        assert rho_max / ((1 << depth) - 1) == 0
+        return
+    assert 0 < step < math.inf
+    assert rho == rho_max
+
+
+def test_config_refuses_a_range_by_name():
+    for name in ("q", "rho_max"):
+        for value in (0.0, -3.0, math.nan, math.inf, -math.inf):
+            for system in SYSTEMS:
+                fields = {"depth": None, "q": 0.5} if name == "q" else {"depth": 10}
+                with pytest.raises(ConfigError, match=f"^{name} must be finite and positive, got {value}$"):
+                    CodecConfig(system=system, parts=ONE_PART, **{**fields, name: value})
 
 
 def test_encode_rejects_empty_cloud():

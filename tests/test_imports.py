@@ -1,4 +1,4 @@
-"""Every module-level import in the package and its tests is used."""
+"""Every module-level import in the package and its tests is used, and every private module name is read."""
 
 import ast
 from pathlib import Path
@@ -38,3 +38,49 @@ def test_no_unused_module_imports():
             unused[str(path.relative_to(ROOT))] = names
     assert unused == {}
 
+
+def _private_bindings(source: str) -> dict[str, int]:
+    """Private names a module binds at its top level: ``_x = …``, ``_x: T = …``, ``def _f``, ``class _C``.
+
+    Names unpacked from a tuple are left out: they may hold a place, as in
+    ``kernel``'s list of the C kernel's error codes.
+    """
+    bound = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                bound.setdefault(name, node.lineno)
+    return bound
+
+
+def _read_names(source: str) -> set[str]:
+    """Every name a module reads: bare names, attributes and names it imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_private_module_name_is_read():
+    package = sorted((ROOT / "src" / "lidarpcc").glob("*.py"))
+    readers = package + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    read = set().union(*(_read_names(path.read_text(encoding="utf-8")) for path in readers))
+    unread = {}
+    for path in package:
+        bound = _private_bindings(path.read_text(encoding="utf-8"))
+        names = [f"line {line}: {name}" for name, line in bound.items() if name not in read]
+        if names:
+            unread[str(path.relative_to(ROOT))] = names
+    assert unread == {}
