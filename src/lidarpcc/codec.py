@@ -101,9 +101,9 @@ class CodecConfig:
             raise ConfigError(f"convention '{self.convention}' needs a depth")
         if self.depth is None and self.q is None:
             raise ConfigError("raw convention needs q or depth")
-        for name in ("q", "rho_max"):
-            if getattr(self, name) is not None:
-                check_finite_positive(name, getattr(self, name))
+        for name, value in (("q", self.q), ("rho_max", self.rho_max)):
+            if value is not None:
+                check_finite_positive(name, value)
 
 
 def convention_step(convention: str, depth: int) -> float:
