@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 import threading
 from dataclasses import dataclass, field
 
@@ -31,11 +32,9 @@ from .coords import (
     SYSTEMS,
     QuantizedCloud,
     QuantSteps,
-    bounding_box,
     dequantize,
     derive_steps,
     lattice_steps,
-    quantize,
     radial_coord,
     reconstruct_points,
 )
@@ -44,7 +43,6 @@ from .octree import (
     MAX_DEPTH,
     MultiLevelConfig,
     _deinterleave,
-    _interleave,
     part_assignment,
     part_steps,
 )
@@ -106,10 +104,15 @@ class CodecConfig:
                 check_finite_positive(name, value)
 
 
+def _depth_steps(depth: int) -> float:
+    """2^depth − 1 as a float64 divisor; past float64's range it rounds to inf, and a span over it to 0."""
+    return float((1 << depth) - 1) if depth < sys.float_info.max_exp else math.inf
+
+
 def convention_step(convention: str, depth: int) -> float:
     """Dataset-convention step: kitti 400/(2^D−1) meters, ford 2^(18−D) mm."""
     if convention == "kitti":
-        return KITTI_RANGE / ((1 << depth) - 1)
+        return KITTI_RANGE / _depth_steps(depth)
     if convention == "ford":
         return float(2 ** (18 - depth))
     raise ConfigError(f"convention '{convention}' does not define a step from depth alone")
@@ -119,31 +122,32 @@ def resolve_step(cfg: CodecConfig, cloud: PointCloud) -> tuple[float, float | No
     """Return (q, rho_max) honoring the convention; rho_max None means measured.
 
     :class:`CodecConfig` has refused every bad field and combination when it
-    was built, so this refuses only a span it cannot divide: ``raw`` with a
+    was built, so this refuses only a step it cannot derive: ``raw`` with a
     depth and no q spreads the cloud's extent, or in the angle systems its
     rho_max, over 2^D − 1 steps. That fails for a single-voxel Cartesian
-    cloud, for an angle-system cloud with every point at the origin and no
-    given rho_max, and for a rho_max so small that the step underflows to 0.
+    cloud and for an angle-system cloud with every point at the origin and no
+    given rho_max. A step that is not finite and positive, in any convention
+    (a span so small, or a depth so large, that it underflows to 0), is
+    refused by the name of the depth.
     """
     rho_max = cfg.rho_max
-    if cfg.convention in ("kitti", "ford"):
-        return convention_step(cfg.convention, cfg.depth), rho_max
     if cfg.q is not None:
         return float(cfg.q), rho_max
-    # raw + depth: span the measured coordinate range with 2^D − 1 steps
-    denom = (1 << cfg.depth) - 1
-    if cfg.system == CARTESIAN:
-        lo, hi = bounding_box(cloud.points)
+    if cfg.convention in ("kitti", "ford"):
+        step = convention_step(cfg.convention, cfg.depth)
+    elif cfg.system == CARTESIAN:  # raw + depth: span the measured coordinate range with 2^D − 1 steps
+        lo, hi = kernel.bounding_box(cloud.points)
         extent = float((hi - lo).max())
         if extent <= 0:
             raise ConfigError("cannot derive a step for a degenerate (single-voxel) cloud")
-        return extent / denom, rho_max
-    rm = rho_max if rho_max is not None else float(radial_coord(cloud.points, cfg.system).max())
-    if rm <= 0:
-        raise ConfigError("cannot derive a step: all points at the origin")
-    step = rm / denom
-    if step == 0:
-        raise ConfigError(f"cannot derive a step: rho_max={rm} over {denom} steps underflows to 0")
+        step = extent / _depth_steps(cfg.depth)
+    else:
+        rm = rho_max if rho_max is not None else float(radial_coord(cloud.points, cfg.system).max())
+        if rm <= 0:
+            raise ConfigError("cannot derive a step: all points at the origin")
+        step = rm / _depth_steps(cfg.depth)
+    if not 0 < step < math.inf:
+        raise ConfigError(f"depth={cfg.depth} gives a step of {step}, which is not finite and positive")
     return step, rho_max
 
 
@@ -290,7 +294,7 @@ def _header_lattice(cloud: PointCloud, cfg: CodecConfig) -> tuple[QuantSteps, tu
     if len(cloud) == 0:
         raise ConfigError("cannot quantize an empty cloud")
     q, rho_override = resolve_step(cfg, cloud)
-    steps = derive_steps(cfg.system, q, cloud, rho_override)
+    steps = derive_steps(cfg.system, q, cloud, rho_override, box=kernel.bounding_box)
     thresholds = cfg.parts.thresholds[: cfg.parts.n_parts]
     fault = _header_fault(cfg.system, steps.depth, steps.q_primary, steps.rho_max, steps.origin_offset,
                           np.asarray(thresholds, dtype=np.float32).tolist())  # as the header stores them
@@ -336,8 +340,15 @@ def _code_parts(work, sizes) -> list:
     return results
 
 
+def _part_leaves(points: np.ndarray, steps: QuantSteps) -> np.ndarray:
+    """A part's sorted, unique leaf Morton codes: ``np.sort(_interleave(quantize(...).indices, depth))``."""
+    codes = kernel.lattice_codes(points, steps)
+    codes.sort()
+    return codes[np.diff(codes, prepend=-1) != 0]  # codes are ≥ 0, so the prepended −1 keeps the first
+
+
 def encode_cloud(cloud: PointCloud, cfg: CodecConfig) -> Container:
-    """Quantize each radial part, code its octree, and pack the container."""
+    """Quantize each radial part to its sorted, unique leaf Morton codes, code its octree, and pack the container."""
     steps, thresholds = _header_lattice(cloud, cfg)
     part = part_assignment(cloud.points, cfg.parts, steps.rho_max, cfg.system)
     sizes = np.bincount(part, minlength=cfg.parts.n_parts).tolist() if cfg.parts.n_parts > 1 else [len(cloud)]
@@ -345,11 +356,10 @@ def encode_cloud(cloud: PointCloud, cfg: CodecConfig) -> Container:
     def code(n: int) -> PartRecord:
         if not sizes[n]:
             return PartRecord(0, True, b"")
-        part_cloud = cloud if len(sizes) == 1 else PointCloud(cloud.points[part == n])
-        qc = quantize(part_cloud, part_steps(steps, n))
-        depth = qc.steps.depth
-        symbols = kernel.octree_symbols(np.sort(_interleave(qc.indices, depth)), depth)
-        return PartRecord(len(symbols), False, kernel.encode_part(symbols, depth))
+        st = part_steps(steps, n)
+        leaves = _part_leaves(cloud.points if len(sizes) == 1 else cloud.points[part == n], st)
+        symbols = kernel.octree_symbols(leaves, st.depth)
+        return PartRecord(len(symbols), False, kernel.encode_part(symbols, st.depth))
 
     return Container(
         cfg.system,

@@ -157,12 +157,16 @@ def bounding_box(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.array([extreme(reduce, col) for col in points.T]) for reduce in (np.min, np.max))
 
 
-def derive_steps(system: str, q: float, cloud: PointCloud, rho_max: float | None = None) -> QuantSteps:
+def derive_steps(
+    system: str, q: float, cloud: PointCloud, rho_max: float | None = None, box=bounding_box
+) -> QuantSteps:
     """Measure a cloud's header fields and return their :func:`lattice_steps`.
 
     ``rho_max`` defaults to the measured maximum radius in the chosen system
-    (ignored for Cartesian, where the bounding box rules). The octree depth is
-    the bit length of the largest index on any axis, at least 1.
+    (ignored for Cartesian, where the bounding box rules; ``box`` measures it,
+    :func:`bounding_box` or a function with its bits, as the codec's
+    ``kernel.bounding_box``). The octree depth is the bit length of the largest
+    index on any axis, at least 1.
     """
     if system not in SYSTEMS:
         raise ConfigError(f"unknown coordinate system '{system}'")
@@ -173,9 +177,10 @@ def derive_steps(system: str, q: float, cloud: PointCloud, rho_max: float | None
     pts = cloud.points
 
     if system == CARTESIAN:
-        origin, top_corner = bounding_box(pts)
-        top = np.round((top_corner - origin) / q).max()
-        return lattice_steps(system, q, 0.0, max(1, int(top).bit_length()), origin)
+        origin, top_corner = box(pts)
+        with np.errstate(over="ignore"):  # a q too small for the extent is refused below, by name
+            top = np.round((top_corner - origin) / q).max()
+        return lattice_steps(system, q, 0.0, _index_depth(q, top), origin)
 
     if rho_max is None:
         rho_max = float(radial_coord(pts, system).max())
@@ -188,7 +193,14 @@ def derive_steps(system: str, q: float, cloud: PointCloud, rho_max: float | None
         z_min = float(pts[:, 2].min())
         top = max(top, np.round((pts[:, 2].max() - z_min) / q))
         origin = (0.0, 0.0, z_min)
-    return lattice_steps(system, q, rho_max, max(1, int(top).bit_length()), origin)
+    return lattice_steps(system, q, rho_max, _index_depth(q, top), origin)
+
+
+def _index_depth(q: float, top: float) -> int:
+    """Bit length of the largest index ``top``, at least 1; refused by the name q when ``top`` overflows float64."""
+    if not math.isfinite(top):
+        raise ConfigError(f"q={q} is too small: the cloud's largest lattice index overflows float64")
+    return max(1, int(top).bit_length())
 
 
 # Offsets, steps and index·step are applied one column at a time: broadcasting
@@ -219,21 +231,29 @@ def untransform_points(coords: np.ndarray, steps: QuantSteps) -> np.ndarray:
     return cyl_to_cart(shifted) if steps.system == CYLINDRICAL else shifted
 
 
+def radius_past_lattice(steps: QuantSteps, radii: np.ndarray) -> ConfigError:
+    """The refusal of an angle-system radius whose index lies past the 2^D lattice."""
+    return ConfigError(f"rho_max={steps.rho_max} smaller than cloud max radius {radii.max():.6g}")
+
+
 def _lattice_indices(points: np.ndarray, steps: QuantSteps) -> np.ndarray:
     """Per-point index triples: transform, round to nearest, clip into the 2^D cube.
 
-    :func:`derive_steps` sizes the cube to hold every index of a cloud within
-    ``rho_max``; a radius whose index lands beyond it is refused, not clipped
-    to the outermost radial bin.
+    Ratios are rounded and clipped in float64 before the cast to int64, so an
+    index past int64's range clips too. :func:`derive_steps` sizes the cube to
+    hold every index of a cloud within ``rho_max``; a radius whose index lands
+    beyond it is refused, not clipped to the outermost radial bin.
     """
     columns = _coordinate_columns(points, steps)
+    hi = (1 << steps.depth) - 1
     idx = np.empty((len(columns[0]), 3), dtype=np.int64)
     for k, (column, step) in enumerate(zip(columns, steps.step_vector())):
         ratio = column / step
-        idx[:, k] = np.round(ratio, out=ratio)
-    if steps.system != CARTESIAN and idx[:, 0].max(initial=0) >> steps.depth:
-        raise ConfigError(f"rho_max={steps.rho_max} smaller than cloud max radius {columns[0].max():.6g}")
-    return np.clip(idx, 0, (1 << steps.depth) - 1, out=idx)
+        np.round(ratio, out=ratio)
+        if k == 0 and steps.system != CARTESIAN and ratio.max(initial=0) > hi:
+            raise radius_past_lattice(steps, columns[0])
+        idx[:, k] = np.clip(ratio, 0, hi, out=ratio)
+    return idx
 
 
 def _index_coords(idx: np.ndarray, steps: QuantSteps) -> np.ndarray:

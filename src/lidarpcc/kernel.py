@@ -1,14 +1,18 @@
-"""The part coder: ``part_kernel.c`` built on first use and called through ctypes, or the Python coder.
+"""The part coder: ``part_kernel.c`` built on first use and called through ctypes, or its Python twins.
 
-:func:`octree_symbols`, :func:`encode_part` and :func:`decode_part` code one
-radial part, and this module alone chooses the coder. :func:`load` compiles
-the C source with the system ``cc`` into a per-user cache the first time a
-coder asks for it; without a compiler, or without a cache directory private
-to the user, it returns None and all three run in Python: the octree's numpy
-level loop (``octree._levels``) and the per-node coder (``_encode_per_node``,
-``_decode_per_node``). That coder writes the same bytes and raises the same
-errors 150–300 times slower per symbol (README, *Speed*). Kernel calls
-release the GIL, so parts can be coded on several threads.
+Per part the codec calls :func:`lattice_codes` (points to leaf Morton codes),
+sorts and deduplicates the codes, then calls :func:`octree_symbols` and
+:func:`encode_part`, or on decode :func:`decode_part`; :func:`bounding_box`
+measures the Cartesian origin. This module alone chooses the implementation.
+:func:`load` compiles the C source with the system ``cc`` into a per-user
+cache the first time a call asks for it; without a compiler, or without a
+cache directory private to the user, it returns None and every call runs its
+Python twin: ``coords``' numpy lattice chain and ``bounding_box``, the
+octree's numpy level loop (``octree._levels``) and the per-node coder
+(``_encode_per_node``, ``_decode_per_node``). The twins give the same bits and
+raise the same errors; the coder runs 150–300 times slower per symbol
+(README, *Speed*). Kernel calls release the GIL, so parts can be coded on
+several threads.
 """
 
 from __future__ import annotations
@@ -26,21 +30,25 @@ from pathlib import Path
 
 import numpy as np
 
-from . import entropy
+from . import coords, entropy
 from .errors import CorruptStreamError
-from .octree import MAX_DEPTH, ContextCursor, _expand_cells, _levels, occupancy_stream, rebuild
+from .octree import MAX_DEPTH, ContextCursor, _expand_cells, _interleave, _levels, occupancy_stream, rebuild
 
 SOURCE = Path(__file__).with_name("part_kernel.c")
-CFLAGS = ("-O2", "-shared", "-fPIC")
+CFLAGS = ("-O2", "-shared", "-fPIC", "-lm")  # given after the source, as -lm must follow the code that calls rint
 
 # error codes of part_kernel.c
-_EXHAUSTED, _DESYNC, _COUNT_INSIDE, _COUNT_EXCEEDS, _NOMEM, _CAPACITY, _SHAPE, _LEAVES = range(-1, -9, -1)
+_EXHAUSTED, _DESYNC, _COUNT_INSIDE, _COUNT_EXCEEDS, _NOMEM, _CAPACITY, _SHAPE, _LEAVES, _RADIUS = range(-1, -10, -1)
 _NOT_AN_OCTREE = "{} symbols are not the breadth-first occupancy of a depth-{} octree"  # _SHAPE, on either coder
 _NOT_LEAVES = "{} leaf codes are not a non-empty, sorted, unique set below 8^{}"  # _LEAVES, on either coder
 
 _u8p = ctypes.POINTER(ctypes.c_uint8)
 _i64p = ctypes.POINTER(ctypes.c_int64)
+_f64p = ctypes.POINTER(ctypes.c_double)
 _SIGNATURES = {
+    "lattice_codes": [_f64p, _f64p, _f64p, ctypes.c_int64, ctypes.c_int64, _f64p, _f64p, ctypes.c_int,
+                      ctypes.c_int, _i64p],
+    "bounding_box": [_f64p, ctypes.c_int64, _f64p, _f64p],
     "encode_part": [_u8p, ctypes.c_int64, ctypes.c_int, _u8p, ctypes.c_int64],
     "decode_part": [_u8p, ctypes.c_int64, ctypes.c_int, ctypes.c_int64, _u8p, _i64p],
     "leaf_codes": [_u8p, ctypes.c_int, _i64p, ctypes.c_int64],
@@ -64,7 +72,7 @@ def _compile(cc: str, source: bytes, target: Path) -> bool:
     with tempfile.TemporaryDirectory(dir=target.parent) as tmp:
         src, lib = Path(tmp) / "part_kernel.c", Path(tmp) / "part_kernel.so"
         src.write_bytes(source)
-        done = subprocess.run([cc, *CFLAGS, str(src), "-o", str(lib)], capture_output=True, timeout=120)
+        done = subprocess.run([cc, str(src), *CFLAGS, "-o", str(lib)], capture_output=True, timeout=120)
         if done.returncode != 0:
             return False
         lib.chmod(0o700)
@@ -122,6 +130,60 @@ def coder_name() -> str:
 
 def _ptr(array: np.ndarray, kind):
     return array.ctypes.data_as(kind)
+
+
+def _rows(points) -> np.ndarray:
+    """``points`` as a C-contiguous (N, 3) float64 array, the layout the kernel reads."""
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError(f"points must be (N, 3), got {points.shape}")
+    return points
+
+
+def lattice_codes(points: np.ndarray, steps: coords.QuantSteps) -> np.ndarray:
+    """Leaf Morton code of each of the (N, 3) ``points`` on the lattice of ``steps``, in point order.
+
+    The codes equal ``_interleave(coords._lattice_indices(points, steps), depth)``,
+    and an angle-system radius past the lattice raises its ConfigError, word
+    for word. The angle systems' coordinates come from numpy's trig either way;
+    the kernel takes over the offset, divide, round, clip and interleave, and
+    reads Cartesian points in place.
+    """
+    depth = steps.depth
+    if not 1 <= depth <= MAX_DEPTH:
+        raise ValueError(f"octree depth {depth} outside [1, {MAX_DEPTH}]")
+    points = _rows(points)
+    lib = load()
+    if lib is None:
+        return _interleave(coords._lattice_indices(points, steps), depth)
+    if steps.system == coords.CARTESIAN:  # read in place, one row of three apart
+        columns, stride, offset = list(points.T), 3, steps.offset_vector()
+    else:  # the columns carry their offset already
+        columns = [np.ascontiguousarray(c, dtype=np.float64) for c in coords._coordinate_columns(points, steps)]
+        stride, offset = 1, np.zeros(3)
+    codes = np.empty(len(columns[0]), dtype=np.int64)
+    step = np.ascontiguousarray(steps.step_vector(), dtype=np.float64)  # a QuantSteps may hold integer steps
+    done = lib.lattice_codes(*(_ptr(column, _f64p) for column in columns), stride, len(codes),
+                             _ptr(offset, _f64p), _ptr(step, _f64p), depth, steps.system != coords.CARTESIAN,
+                             _ptr(codes, _i64p))
+    if done == _RADIUS:
+        raise coords.radius_past_lattice(steps, columns[0])
+    if done != len(codes):
+        raise RuntimeError(f"part kernel failed with code {done}")
+    return codes
+
+
+def bounding_box(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``coords.bounding_box(points)`` bit for bit, ±0 extremes included, in one pass over the rows."""
+    points = _rows(points)
+    lib = load()
+    if lib is None or not len(points):
+        return coords.bounding_box(points)
+    lo, hi = np.empty(3), np.empty(3)
+    done = lib.bounding_box(_ptr(points, _f64p), len(points), _ptr(lo, _f64p), _ptr(hi, _f64p))
+    if done != len(points):
+        raise RuntimeError(f"part kernel failed with code {done}")
+    return lo, hi
 
 
 def octree_symbols(codes: np.ndarray, depth: int) -> np.ndarray:

@@ -1,13 +1,18 @@
-/* One radial part's occupancy stream: contexts, adaptive model and range coder.
+/* One radial part, from its points to its range-coded occupancy stream.
  *
- * The compiled twin of the per-node Python coder, kernel._encode_per_node and
+ * lattice_codes turns a part's coordinate columns into one leaf Morton code
+ * per point, with coords._lattice_indices' float64 arithmetic and
+ * octree._interleave's bit order; bounding_box measures the Cartesian origin
+ * as numpy's axis-0 reductions do. The caller sorts and deduplicates the
+ * codes, and octree_symbols derives the breadth-first occupancy symbols, one
+ * byte per node, levels 1..depth. encode_part and decode_part are the
+ * compiled twin of the per-node Python coder, kernel._encode_per_node and
  * kernel._decode_per_node: an entropy.AdaptiveContextModel over the contexts
- * of octree.ContextCursor. FORMAT.md specifies the bits. Symbols are one
- * breadth-first occupancy byte per node, levels 1..depth; octree_symbols
- * derives them from a part's leaf Morton codes. Every buffer
+ * of octree.ContextCursor. FORMAT.md specifies the bits. Every buffer
  * belongs to the caller; the functions return a count, or a negative error
  * code with details in info[0..1], and never write past a buffer's capacity.
  */
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -26,6 +31,7 @@ enum {
     ERR_CAPACITY = -6,     /* encoder output buffer too small */
     ERR_SHAPE = -7,        /* encoder input is not a depth-level tree */
     ERR_LEAVES = -8,       /* leaf codes not sorted, unique and below 8^depth */
+    ERR_RADIUS = -9,       /* a radial index past the 2^depth lattice */
 };
 
 /* Fenwick tree over f_s = n_s + 1 (slot 0 unused) and raw counts n_s (slot 0:
@@ -274,4 +280,57 @@ int64_t octree_symbols(const int64_t *codes, int64_t n, int depth, int64_t *cell
     }
     memmove(symbols, symbols + w, (size_t)(cap - w));
     return cap - w;
+}
+
+/* The low 21 bits of v moved to every third bit, bit k to bit 3k. */
+static uint64_t spread(uint64_t v) {
+    v &= 0x1FFFFF;
+    v = (v | v << 32) & 0x1F00000000FFFFull;
+    v = (v | v << 16) & 0x1F0000FF0000FFull;
+    v = (v | v << 8) & 0x100F00F00F00F00Full;
+    v = (v | v << 4) & 0x10C30C30C30C30C3ull;
+    v = (v | v << 2) & 0x1249249249249249ull;
+    return v;
+}
+
+/* Leaf Morton code of each of n points, into codes[0..n). Axis k of point i
+ * is column k's element i * stride. Its index is rint((c - offset[k]) /
+ * step[k]) clipped to [0, 2^depth - 1], all in float64, so no double outside
+ * int64 is ever cast. With radial set, an axis-0 index past 2^depth - 1 is
+ * refused instead. Codes interleave the indices, x highest in each 3-bit
+ * group. Returns n. */
+int64_t lattice_codes(const double *x, const double *y, const double *z, int64_t stride, int64_t n,
+                      const double *offset, const double *step, int depth, int radial, int64_t *codes) {
+    if (depth < 1 || depth > 20) return ERR_SHAPE;
+    const double *column[3] = {x, y, z};
+    const double hi = (double)((1 << depth) - 1);
+    for (int64_t i = 0; i < n; i++) {
+        uint64_t code = 0;
+        for (int k = 0; k < 3; k++) {
+            double r = rint((column[k][i * stride] - offset[k]) / step[k]);
+            if (radial && k == 0 && r > hi) return ERR_RADIUS;
+            r = r > 0 ? (r < hi ? r : hi) : 0; /* a NaN clips to 0 */
+            code |= spread((uint64_t)r) << (2 - k);
+        }
+        codes[i] = (int64_t)code;
+    }
+    return n;
+}
+
+/* Per-axis minimum and maximum of n >= 1 rows (x, y, z), into lo[0..3) and
+ * hi[0..3): of equal extremes, such as +0 and -0, the last one wins, as in
+ * numpy's axis-0 reductions. */
+int64_t bounding_box(const double *p, int64_t n, double *lo, double *hi) {
+    if (n < 1) return ERR_SHAPE;
+    double min[3] = {p[0], p[1], p[2]}, max[3] = {p[0], p[1], p[2]};
+    for (int64_t i = 1; i < n; i++) {
+        for (int k = 0; k < 3; k++) {
+            double v = p[3 * i + k];
+            if (!(v > min[k])) min[k] = v;
+            if (!(v < max[k])) max[k] = v;
+        }
+    }
+    memcpy(lo, min, sizeof min);
+    memcpy(hi, max, sizeof max);
+    return n;
 }

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +180,24 @@ def test_one_part_rejects_a_radius_beyond_the_lattice(run, system):
     cfg = CodecConfig(system=system, q=0.5, rho_max=200.0, parts=ONE_PART)
     with pytest.raises(ConfigError, match="rho_max=200.0 smaller than cloud max radius"):
         run(cloud, cfg)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [encode_cloud, pipeline_reconstruct, empirical_error],
+    ids=["encode_cloud", "pipeline_reconstruct", "pipeline_pairing"],
+)
+@pytest.mark.parametrize("system", [SPHERICAL, CYLINDRICAL])
+def test_one_part_rejects_a_radius_whose_index_is_past_int64(run, system):
+    # 1e19 m / 0.5 is past int64: cast before the check, its index was INT64_MIN,
+    # which passed it, and the point decoded at the origin with only a RuntimeWarning
+    cloud = PointCloud(np.vstack([synth_lidar(SynthParams(beams=4, points_per_ring=64, rho_max=150.0)).points,
+                                  [[1e19, 0.0, 0.0]]]))
+    cfg = CodecConfig(system=system, q=0.5, rho_max=200.0, parts=ONE_PART)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=r"^rho_max=200.0 smaller than cloud max radius 1e\+19$"):
+            run(cloud, cfg)
 
 
 @pytest.mark.parametrize(

@@ -360,6 +360,17 @@ def test_exit_codes(scan, tmp_path):
         assert proc.returncode == 2, argv
         assert proc.stderr.startswith("lidarpcc: error: ") and field in proc.stderr, (argv, proc.stderr)
         assert proc.stdout == "", argv
+    # a step that overflows float64 is refused by the field that sets it: 2^depth − 1
+    # steps past float64 leave a step of 0, and a q this small an infinite index
+    for argv, start in (
+        (("encode", scan, out, "--depth", "1100"), "depth=1100 gives a step of 0.0"),
+        (("encode", scan, out, "--depth", "1100", "--convention", "kitti"), "depth=1100 gives a step of 0.0"),
+        (("encode", scan, out, "--q", "1e-320"), "q=1e-320 is too small"),
+        (("encode", scan, out, "--q", "1e-300", "--rho-max", "1e300"), "q=1e-300 is too small"),
+    ):
+        proc = run(*argv)
+        assert proc.returncode == 2, argv
+        assert proc.stderr.startswith(f"lidarpcc: error: {start}"), (argv, proc.stderr)
     proc = run("bench", scan, tmp_path / "b.csv", "--systems", "spherical,foo", "--depths", "8")
     assert proc.returncode == 2
     assert proc.stderr == "lidarpcc: error: unknown coordinate system 'foo'\n"

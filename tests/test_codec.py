@@ -199,7 +199,7 @@ def test_resolve_step_rules():
     rho = np.linalg.norm(cloud.points, axis=1).max()
     assert q == pytest.approx(rho / 1023.0)
     assert resolve_step(CodecConfig(depth=1, rho_max=5e-324), cloud) == (5e-324, 5e-324)
-    with pytest.raises(ConfigError, match="^cannot derive a step: rho_max=5e-324 over 3 steps underflows to 0$"):
+    with pytest.raises(ConfigError, match="^depth=2 gives a step of 0.0, which is not finite and positive$"):
         resolve_step(CodecConfig(depth=2, rho_max=5e-324), cloud)
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from lidarpcc import kernel
 from lidarpcc.coords import (
     CARTESIAN,
     CYLINDRICAL,
@@ -146,11 +148,12 @@ def test_bounding_box_keeps_the_signs_of_zero_of_the_axis_reductions():
     for n in (1, 2, 5, 64, 3000):
         for _ in range(40):
             pts = rng.choice([0.0, -0.0, 1.0, 2.0], size=(n, 3)) * rng.choice([1.0, -1.0])
-            lo, hi = bounding_box(pts)
-            assert lo.tobytes() == pts.min(axis=0).tobytes()
-            assert hi.tobytes() == pts.max(axis=0).tobytes()
-            origin = derive_steps(CARTESIAN, 0.5, PointCloud(pts)).origin_offset
-            assert np.array(origin).tobytes() == pts.min(axis=0).tobytes()
+            for box in (bounding_box, kernel.bounding_box):  # the kernel's one pass over the rows too
+                lo, hi = box(pts)
+                assert lo.tobytes() == pts.min(axis=0).tobytes()
+                assert hi.tobytes() == pts.max(axis=0).tobytes()
+                origin = derive_steps(CARTESIAN, 0.5, PointCloud(pts), box=box).origin_offset
+                assert np.array(origin).tobytes() == pts.min(axis=0).tobytes()
 
 
 def test_cylindrical_depth_covers_z():
@@ -311,3 +314,12 @@ def test_clamping_pulls_outliers_into_cube():
     cloud = PointCloud(np.array([[9.0, 9.0, 9.0], [1.0, 1.0, 1.0]]))
     qc = quantize(cloud, steps)
     assert qc.indices.max() == 3
+
+
+def test_indices_past_int64_clip_like_any_other():
+    # the ratio is clipped before the cast to int64, which turned 1e20 into INT64_MIN and so index 0
+    steps = QuantSteps(CARTESIAN, 1.0, 0.0, 0.0, 16, 4, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        qc = quantize(PointCloud(np.array([[1e20, -1e20, 3.0], [2.0, 1e300, -1e300]])), steps)
+    assert qc.indices.tolist() == [[2, 15, 0], [15, 0, 3]]

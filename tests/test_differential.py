@@ -7,7 +7,8 @@ The Python coder is the reference path: ``kernel.encode_part`` and
 call on the Python coder and, whenever the kernel loads (not under
 ``--coder python``), on the kernel too: it must write the same payload bytes,
 decode the same leaf codes, and reject the same corrupt inputs with the same
-messages, word for word.
+messages, word for word. The encoder's leaf codes, from ``kernel.lattice_codes``
+on either side, are held to ``quantize``'s numpy chain the same way.
 """
 
 import functools
@@ -24,6 +25,7 @@ from lidarpcc.codec import (
     MAGIC,
     CodecConfig,
     Container,
+    _part_leaves,
     decode_cloud,
     encode_cloud,
     resolve_step,
@@ -36,10 +38,11 @@ from lidarpcc.coords import (
     QuantizedCloud,
     QuantSteps,
     derive_steps,
+    lattice_steps,
     quantize,
     radial_coord,
 )
-from lidarpcc.errors import CorruptStreamError, FormatError
+from lidarpcc.errors import ConfigError, CorruptStreamError, FormatError
 from lidarpcc.octree import (
     MultiLevelConfig,
     _deinterleave,
@@ -131,6 +134,51 @@ def test_codec_matches_reference_path(case, data):
             if bad_payload == payload:
                 wrong = "exceeds the tree's" if bad_count > count else "ends inside level"
                 assert outcome.startswith(f"CorruptStreamError: symbol count {bad_count} {wrong}")
+
+
+@st.composite
+def lattices(draw):
+    """Points and the steps of one part's lattice, with ±0s, exact half-step ties, clipped and refused indices."""
+    system = draw(st.sampled_from(SYSTEMS), label="system")
+    depth = draw(st.sampled_from([1, 2, 3, 7, 12, 20]), label="depth")
+    q = draw(st.sampled_from([0.5, 0.1, 3.0]), label="q")
+    hi = (1 << depth) - 1
+    # 2 to 2^depth radial bins; a ρ past (bins − ½)·q is refused, which the largest coordinates reach
+    bins = draw(st.integers(2, hi + 1), label="bins")
+    top = hi + 2 if system == CARTESIAN else bins // 2 + 1
+    tie = st.integers(-2 * top, 2 * top).map(lambda k: k * q / 2)  # k·q/2: odd k is a tie
+    value = st.sampled_from([0.0, -0.0]) | tie | st.floats(-top * q, top * q, allow_nan=False)
+    rows = draw(st.lists(st.tuples(value, value, value), min_size=1, max_size=30), label="points")
+    if draw(st.booleans(), label="outlier"):  # an index past int64, which clips (Cartesian) or is refused
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.permutations([1e20, -1e20, 0.0])))
+    origin = draw(st.sampled_from([(0.0, 0.0, 0.0), (-0.0, 0.0, -0.0), (-0.0, -0.0, -0.0)])
+                  | st.tuples(*[st.floats(-hi * q, hi * q, allow_nan=False)] * 3), label="origin")
+    if system == CARTESIAN:
+        steps = QuantSteps(CARTESIAN, q, 0.0, 0.0, 1 << depth, depth, 0.0, origin)
+    else:
+        origin = (0.0, 0.0, origin[2]) if system == CYLINDRICAL else origin
+        steps = lattice_steps(system, q, bins * q, depth, origin)
+    return np.array(rows), steps
+
+
+def _or_refusal(call, *args):
+    """``call(*args)``, or the message of the ConfigError that refuses a radius past the lattice."""
+    try:
+        return call(*args)
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattices())
+def test_lattice_codes_match_the_quantize_chain(case):
+    # the codec's leaf codes, the kernel's lattice and Morton codes then sort and
+    # dedup, are the reference chain's bit for bit, refusals word for word
+    points, steps = case
+    outcome = on_both_coders(_or_refusal, _part_leaves, points, steps)
+    assert outcome == _outcome(_or_refusal, lambda: _sorted_codes(quantize(PointCloud(points), steps)))
+    if isinstance(outcome, str):
+        assert outcome.startswith(f"ConfigError: rho_max={steps.rho_max} smaller than cloud max radius ")
 
 
 def test_deep_levels_share_capped_contexts():

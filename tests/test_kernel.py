@@ -5,7 +5,9 @@ test_differential.py; these tests cover building, caching and falling back.
 """
 
 import ctypes
+import dataclasses
 import os
+import re
 import shutil
 import stat
 
@@ -14,6 +16,7 @@ import pytest
 
 from lidarpcc import kernel
 from lidarpcc.codec import CodecConfig, Container, decode_cloud, encode_cloud
+from lidarpcc.coords import CARTESIAN, QuantSteps
 from lidarpcc.pcio import SynthParams, synth_lidar
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
@@ -121,3 +124,28 @@ def test_octree_symbols_rejects_what_are_not_leaf_codes(monkeypatch):
             message = rf"^{len(codes)} leaf codes are not a non-empty, sorted, unique set below 8\^{depth}$"
             with pytest.raises(ValueError, match=message):
                 kernel.octree_symbols(np.array(codes, dtype=np.int64), depth)
+
+
+def test_point_entries_reject_what_is_not_a_row_of_three(monkeypatch):
+    # the kernel reads three doubles a row, so a narrower array is refused before any pointer is passed
+    steps = QuantSteps(CARTESIAN, 1.0, 0.0, 0.0, 16, 4, 0.0)
+    for python_coder in (False, True):  # the kernel first, when it loads
+        if python_coder:
+            monkeypatch.setattr(kernel, "load", lambda: None)
+        for shape in ((4, 2), (4,), (2, 4)):
+            message = "^" + re.escape(f"points must be (N, 3), got {shape}") + "$"
+            with pytest.raises(ValueError, match=message):
+                kernel.bounding_box(np.zeros(shape))
+            with pytest.raises(ValueError, match=message):
+                kernel.lattice_codes(np.zeros(shape), steps)
+        for depth in (0, 21):
+            with pytest.raises(ValueError, match=rf"^octree depth {depth} outside \[1, 20\]$"):
+                kernel.lattice_codes(np.zeros((1, 3)), dataclasses.replace(steps, depth=depth))
+
+
+def test_lattice_codes_take_integer_steps_as_doubles():
+    # a QuantSteps may hold an int q; the kernel reads its steps as float64 all the same
+    points = np.array([[3.4, -2.0, 7.6], [15.2, 0.5, 1e20]])
+    steps = QuantSteps(CARTESIAN, 1, 0, 0, 16, 4, 0, (0, -2, 0))
+    expected = kernel.lattice_codes(points, dataclasses.replace(steps, q_primary=1.0))
+    assert kernel.lattice_codes(points, steps).tolist() == expected.tolist()
