@@ -159,10 +159,10 @@ def _part_count(parts: int | None, default: int) -> int:
     return default if parts is None else parts
 
 
-def _part_layout(system: str, parts: int | None, thresholds: str | None) -> MultiLevelConfig:
-    """Radial parts from --parts/--thresholds; the default is ``MultiLevelConfig()``, or one part for cartesian."""
+def _part_layout(parts: int | None, thresholds: str | None) -> MultiLevelConfig | None:
+    """Radial parts from --parts/--thresholds; None, when neither is given, for CodecConfig's default."""
     default = MultiLevelConfig()
-    n = _part_count(parts, 1 if system == CARTESIAN else default.n_parts)
+    n = _part_count(parts, default.n_parts)
     if thresholds is not None:
         try:
             inner = tuple(float(v) for v in thresholds.split(","))
@@ -171,6 +171,8 @@ def _part_layout(system: str, parts: int | None, thresholds: str | None) -> Mult
         if parts is not None and parts != len(inner):
             raise ConfigError(f"--parts {parts} disagrees with {len(inner)} threshold values")
         return MultiLevelConfig(len(inner), inner + (1.0,))
+    if parts is None:
+        return None
     if n == 1:
         return MultiLevelConfig(1, (0.0, 1.0))
     if n == default.n_parts:
@@ -184,7 +186,7 @@ def _codec_config(args) -> CodecConfig:
         depth=args.depth,
         q=args.q,
         convention=args.convention,
-        parts=_part_layout(args.system, args.parts, args.thresholds),
+        parts=_part_layout(args.parts, args.thresholds),
         rho_max=args.rho_max,
     )
 
@@ -363,7 +365,7 @@ def cmd_bench(args, stages) -> RunRecord:
         raise ConfigError(f"bad --depths value '{args.depths}'") from None
     jobs = []  # every config is built, and so checked, before the first row runs
     for system in systems:
-        parts = _part_layout(system, None if system == CARTESIAN else args.parts, None)
+        parts = _part_layout(None if system == CARTESIAN else args.parts, None)
         for depth in depths:
             cfg = CodecConfig(system=system, depth=depth, convention=args.convention, parts=parts)
             jobs.append((cloud.points, cfg, args.peak))

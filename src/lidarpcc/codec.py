@@ -20,7 +20,7 @@ import math
 import struct
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,10 +30,9 @@ from .coords import (
     CYLINDRICAL,
     SPHERICAL,
     SYSTEMS,
-    QuantizedCloud,
     QuantSteps,
-    dequantize,
     derive_steps,
+    lattice_points,
     lattice_steps,
     radial_coord,
     reconstruct_points,
@@ -70,7 +69,8 @@ class CodecConfig:
     Every rule on the fields alone lives here and is checked when the config is
     built: the system, convention and depth; depth or q, not both; a depth for
     ``kitti`` and ``ford``, q or depth for ``raw``; a given q and rho_max
-    finite and positive, for every system; one part for cartesian. What
+    finite and positive, for every system; one part for cartesian, which is
+    also its default layout (the angle systems' is ``MultiLevelConfig()``). What
     depends on the cloud is refused later: a span the step cannot be measured
     from by :func:`resolve_step`, a lattice the header cannot hold by
     ``derive_steps`` and the encoder's header check. ``derive_steps`` checks
@@ -81,12 +81,15 @@ class CodecConfig:
     depth: int | None = None
     q: float | None = None
     convention: str = "raw"
-    parts: MultiLevelConfig = field(default_factory=MultiLevelConfig)
+    parts: MultiLevelConfig | None = None  # None → one part for cartesian, else MultiLevelConfig()
     rho_max: float | None = None  # None → measured from the cloud
 
     def __post_init__(self):
         if self.system not in SYSTEMS:
             raise ConfigError(f"unknown coordinate system '{self.system}'")
+        if self.parts is None:
+            default = MultiLevelConfig(1, (0.0, 1.0)) if self.system == CARTESIAN else MultiLevelConfig()
+            object.__setattr__(self, "parts", default)
         if self.convention not in CONVENTIONS:
             raise ConfigError(f"unknown convention '{self.convention}'")
         if self.depth is not None and self.depth < 1:
@@ -358,8 +361,8 @@ def encode_cloud(cloud: PointCloud, cfg: CodecConfig) -> Container:
             return PartRecord(0, True, b"")
         st = part_steps(steps, n)
         leaves = _part_leaves(cloud.points if len(sizes) == 1 else cloud.points[part == n], st)
-        symbols = kernel.octree_symbols(leaves, st.depth)
-        return PartRecord(len(symbols), False, kernel.encode_part(symbols, st.depth))
+        count, payload = kernel.encode_part(leaves, st.depth)
+        return PartRecord(count, False, payload)
 
     return Container(
         cfg.system,
@@ -391,8 +394,7 @@ def decode_cloud(container: Container) -> PointCloud:
             codes = kernel.decode_part(part.payload, st.depth, part.symbol_count)
         except CorruptStreamError as exc:
             raise CorruptStreamError(f"part {n}: {exc}") from None
-        qc = QuantizedCloud(_deinterleave(codes, st.depth), st, part.symbol_count)
-        return dequantize(qc).points
+        return lattice_points(_deinterleave(codes, st.depth), st)
 
     sizes = [0 if part.empty else part.symbol_count for part in container.parts]
     chunks = [points for points in _code_parts(decode, sizes) if points is not None]

@@ -256,9 +256,10 @@ def _lattice_indices(points: np.ndarray, steps: QuantSteps) -> np.ndarray:
     return idx
 
 
-def _index_coords(idx: np.ndarray, steps: QuantSteps) -> np.ndarray:
-    """index·step per axis: the system's coordinates of lattice points."""
-    return np.stack([idx[:, k] * step for k, step in enumerate(steps.step_vector())], axis=-1)
+def lattice_points(idx: np.ndarray, steps: QuantSteps) -> np.ndarray:
+    """Cartesian voxel centres of (N, 3) index triples: index·step per axis, then :func:`untransform_points`."""
+    coords = np.stack([idx[:, k] * step for k, step in enumerate(steps.step_vector())], axis=-1)
+    return untransform_points(coords, steps)
 
 
 def quantize(cloud: PointCloud, steps: QuantSteps) -> QuantizedCloud:
@@ -277,7 +278,7 @@ def quantize(cloud: PointCloud, steps: QuantSteps) -> QuantizedCloud:
 
 def dequantize(qc: QuantizedCloud) -> PointCloud:
     """Map index triples back to Cartesian voxel centers."""
-    return PointCloud(untransform_points(_index_coords(qc.indices, qc.steps), qc.steps))
+    return PointCloud(lattice_points(qc.indices, qc.steps))
 
 
 def reconstruct_points(points: np.ndarray, steps: QuantSteps) -> np.ndarray:
@@ -286,4 +287,4 @@ def reconstruct_points(points: np.ndarray, steps: QuantSteps) -> np.ndarray:
     Used by the error-analysis pipeline, which needs the original↔reconstruction
     pairing that the deduplicating codec path discards.
     """
-    return untransform_points(_index_coords(_lattice_indices(points, steps), steps), steps)
+    return lattice_points(_lattice_indices(points, steps), steps)

@@ -1,22 +1,23 @@
 """The part coder: ``part_kernel.c`` built on first use and called through ctypes, or its Python twins.
 
 Per part the codec calls :func:`lattice_codes` (points to leaf Morton codes),
-sorts and deduplicates the codes, then calls :func:`octree_symbols` and
-:func:`encode_part`, or on decode :func:`decode_part`; :func:`bounding_box`
-measures the Cartesian origin. This module alone chooses the implementation.
-:func:`load` compiles the C source with the system ``cc`` into a per-user
-cache the first time a call asks for it; without a compiler, or without a
-cache directory private to the user, it returns None and every call runs its
-Python twin: ``coords``' numpy lattice chain and ``bounding_box``, the
-octree's numpy level loop (``octree._levels``) and the per-node coder
-(``_encode_per_node``, ``_decode_per_node``). The twins give the same bits and
-raise the same errors; the coder runs 150–300 times slower per symbol
-(README, *Speed*). Kernel calls release the GIL, so parts can be coded on
-several threads.
+sorts and deduplicates the codes, then calls :func:`encode_part` (leaf codes
+to symbol count and payload), or on decode :func:`decode_part` (payload to
+leaf codes); :func:`bounding_box` measures the Cartesian origin. This module
+alone chooses the implementation. :func:`load` compiles the C source with the
+system ``cc`` into a per-user cache the first time a call asks for it;
+without a compiler, or without a cache directory private to the user, it
+returns None and every call runs its Python twin: ``coords``' numpy lattice
+chain and ``bounding_box``, and the per-node coder (``_encode_per_node``,
+which builds the octree with ``octree._levels``, and ``_decode_per_node``).
+The twins give the same bits and raise the same errors; the coder runs
+100 to 300 times slower per symbol (README, *Speed*). Kernel calls release the
+GIL, so parts can be coded on several threads.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -32,14 +33,13 @@ import numpy as np
 
 from . import coords, entropy
 from .errors import CorruptStreamError
-from .octree import MAX_DEPTH, ContextCursor, _expand_cells, _interleave, _levels, occupancy_stream, rebuild
+from .octree import MAX_DEPTH, ContextCursor, Octree, _expand_cells, _interleave, _levels, occupancy_stream, rebuild
 
 SOURCE = Path(__file__).with_name("part_kernel.c")
 CFLAGS = ("-O2", "-shared", "-fPIC", "-lm")  # given after the source, as -lm must follow the code that calls rint
 
 # error codes of part_kernel.c
 _EXHAUSTED, _DESYNC, _COUNT_INSIDE, _COUNT_EXCEEDS, _NOMEM, _CAPACITY, _SHAPE, _LEAVES, _RADIUS = range(-1, -10, -1)
-_NOT_AN_OCTREE = "{} symbols are not the breadth-first occupancy of a depth-{} octree"  # _SHAPE, on either coder
 _NOT_LEAVES = "{} leaf codes are not a non-empty, sorted, unique set below 8^{}"  # _LEAVES, on either coder
 
 _u8p = ctypes.POINTER(ctypes.c_uint8)
@@ -49,10 +49,10 @@ _SIGNATURES = {
     "lattice_codes": [_f64p, _f64p, _f64p, ctypes.c_int64, ctypes.c_int64, _f64p, _f64p, ctypes.c_int,
                       ctypes.c_int, _i64p],
     "bounding_box": [_f64p, ctypes.c_int64, _f64p, _f64p],
-    "encode_part": [_u8p, ctypes.c_int64, ctypes.c_int, _u8p, ctypes.c_int64],
+    "encode_part": [_i64p, ctypes.c_int64, ctypes.c_int, _i64p, _u8p, ctypes.c_int64, _u8p, ctypes.c_int64,
+                    _i64p],
     "decode_part": [_u8p, ctypes.c_int64, ctypes.c_int, ctypes.c_int64, _u8p, _i64p],
     "leaf_codes": [_u8p, ctypes.c_int, _i64p, ctypes.c_int64],
-    "octree_symbols": [_i64p, ctypes.c_int64, ctypes.c_int, _i64p, _u8p, ctypes.c_int64],
 }
 
 
@@ -80,15 +80,24 @@ def _compile(cc: str, source: bytes, target: Path) -> bool:
     return True
 
 
+def _prune(cache: Path, keep: Path) -> None:
+    """Remove the libraries of other source or flag versions from ``cache``, those private to this user."""
+    for old in cache.glob("part_kernel-*.so"):
+        with contextlib.suppress(OSError):  # one another process removed, or one this user may not remove
+            if old != keep and _private(old):
+                old.unlink()
+
+
 def open_kernel(cache: Path | None = None) -> ctypes.CDLL | None:
     """Load the library built from the current source in ``cache``, building it there first if missing.
 
     ``cache`` defaults to :func:`cache_dir`. The file name keys the source,
-    the flags, the machine and the compiler. Returns None, and the codec keeps
-    to the Python coder, when there is no compiler or home directory, the
-    source is missing, the build fails, or ``cache`` or the library in it is
-    not private to this user: a file someone else could have written is never
-    loaded.
+    the flags, the machine and the compiler. A build removes the libraries of
+    other keys from ``cache``, those private to this user; loading a library
+    already built removes nothing. Returns None, and the codec keeps to the
+    Python coder, when there is no compiler or home directory, the source is
+    missing, the build fails, or ``cache`` or the library in it is not private
+    to this user: a file someone else could have written is never loaded.
     """
     cc = shutil.which("cc")
     if cc is None:
@@ -103,8 +112,10 @@ def open_kernel(cache: Path | None = None) -> ctypes.CDLL | None:
         if not _private(cache):
             return None
         path = cache / f"part_kernel-{key}.so"
-        if not path.exists() and not _compile(cc, source, path):
-            return None
+        if not path.exists():
+            if not _compile(cc, source, path):
+                return None
+            _prune(cache, path)
         if not _private(path):
             return None
         lib = ctypes.CDLL(str(path))
@@ -186,12 +197,12 @@ def bounding_box(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def octree_symbols(codes: np.ndarray, depth: int) -> np.ndarray:
-    """Breadth-first occupancy symbols of the depth-``depth`` octree over a part's leaf Morton codes.
+def encode_part(codes: np.ndarray, depth: int) -> tuple[int, bytes]:
+    """Symbol count and payload of the depth-``depth`` octree over a part's leaf Morton codes.
 
-    ``codes`` are ``np.sort(octree._interleave(indices, depth))`` of unique
-    index triples, and the symbols equal ``build(...).all_symbols()``.
-    ValueError unless they are sorted, unique and below 8^depth.
+    ``codes`` are sorted, unique and below 8^depth, as ``codec._part_leaves``
+    gives them; ValueError otherwise. The count and payload equal those of
+    ``build(...)`` coded by ``occupancy_stream`` and ``entropy.encode``.
     """
     if codes.dtype != np.int64:
         raise TypeError(f"leaf codes must be int64, not {codes.dtype}")
@@ -199,39 +210,23 @@ def octree_symbols(codes: np.ndarray, depth: int) -> np.ndarray:
         raise ValueError(f"octree depth {depth} outside [1, {MAX_DEPTH}]")
     lib = load()
     if lib is None:
-        return _symbols_per_level(codes, depth)
+        return _encode_per_node(codes, depth)
     codes = np.ascontiguousarray(codes)
     n = len(codes)
     cap = sum(min(n, 8 ** level) for level in range(depth))  # level ℓ + 1 holds at most 8^ℓ nodes
     cells, symbols = np.empty(n, dtype=np.int64), np.empty(cap, dtype=np.uint8)
-    count = lib.octree_symbols(_ptr(codes, _i64p), n, depth, _ptr(cells, _i64p), _ptr(symbols, _u8p), cap)
-    if count == _LEAVES:
-        raise ValueError(_NOT_LEAVES.format(n, depth))
-    if count < 0:
-        raise RuntimeError(f"part kernel failed with code {count}")
-    return symbols[:count]
-
-
-def encode_part(symbols: np.ndarray, depth: int) -> bytes:
-    """Payload of a part's breadth-first occupancy symbols; ValueError unless they form a depth-``depth`` octree."""
-    if symbols.dtype != np.uint8:
-        raise TypeError(f"occupancy symbols must be uint8, not {symbols.dtype}")
-    lib = load()
-    if lib is None:
-        return _encode_per_node(symbols, depth)
-    symbols = np.ascontiguousarray(symbols)
     # a symbol renormalizes at most twice (its range stays ≥ 2^24/2^16), and
     # every shift emits at most one byte, flush included
-    cap = 2 * len(symbols) + 5
-    out = np.empty(cap, dtype=np.uint8)
-    n = lib.encode_part(_ptr(symbols, _u8p), len(symbols), depth, _ptr(out, _u8p), cap)
-    if n == _SHAPE:
-        raise ValueError(_NOT_AN_OCTREE.format(len(symbols), depth))
-    if n == _NOMEM:
+    out, count = np.empty(2 * cap + 5, dtype=np.uint8), np.zeros(1, dtype=np.int64)
+    size = lib.encode_part(_ptr(codes, _i64p), n, depth, _ptr(cells, _i64p), _ptr(symbols, _u8p), cap,
+                           _ptr(out, _u8p), len(out), _ptr(count, _i64p))
+    if size == _LEAVES:
+        raise ValueError(_NOT_LEAVES.format(n, depth))
+    if size == _NOMEM:
         raise MemoryError("part kernel could not allocate its context tables")
-    if n < 0:
-        raise RuntimeError(f"part kernel failed with code {n}")
-    return out[:n].tobytes()
+    if size < 0:
+        raise RuntimeError(f"part kernel failed with code {size}")
+    return int(count[0]), out[:size].tobytes()
 
 
 def decode_part(payload: bytes, depth: int, symbol_count: int) -> np.ndarray:
@@ -266,20 +261,12 @@ def decode_part(payload: bytes, depth: int, symbol_count: int) -> np.ndarray:
     return codes
 
 
-def _symbols_per_level(codes: np.ndarray, depth: int) -> np.ndarray:
-    """The Python twin of ``octree_symbols``: ``build``'s numpy level loop over checked leaf codes."""
+def _encode_per_node(codes: np.ndarray, depth: int) -> tuple[int, bytes]:
+    """The Python coder: the leaves checked, then the ``occupancy_stream`` contexts of their octree range-coded symbol by symbol."""
     if not len(codes) or codes[0] < 0 or codes[-1] >> 3 * depth or (codes[1:] <= codes[:-1]).any():
         raise ValueError(_NOT_LEAVES.format(len(codes), depth))
-    return np.concatenate([level.symbols for level in _levels(codes, depth)])
-
-
-def _encode_per_node(symbols: np.ndarray, depth: int) -> bytes:
-    """The Python coder: ``occupancy_stream`` contexts range-coded symbol by symbol."""
-    try:
-        tree = rebuild(symbols, depth)
-    except CorruptStreamError:
-        raise ValueError(_NOT_AN_OCTREE.format(len(symbols), depth)) from None
-    return entropy.encode(occupancy_stream(tree), entropy.AdaptiveContextModel()).data
+    tree = Octree(depth, _levels(codes, depth))
+    return tree.node_count, entropy.encode(occupancy_stream(tree), entropy.AdaptiveContextModel()).data
 
 
 def _decode_per_node(payload: bytes, depth: int, symbol_count: int) -> np.ndarray:

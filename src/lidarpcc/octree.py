@@ -117,8 +117,8 @@ def build(qc: QuantizedCloud) -> Octree:
 def _levels(u: np.ndarray, depth: int) -> tuple:
     """Levels 1..depth of the octree over sorted leaf Morton codes ``u``; ``reduceat`` merges a repeated leaf.
 
-    :func:`build` and ``kernel``'s Python fallback for ``part_kernel.c``'s
-    ``octree_symbols`` share this loop.
+    :func:`build` and ``kernel._encode_per_node``, the Python twin of
+    ``part_kernel.c``'s ``encode_part``, share this loop.
     """
     levels = []
     for _ in range(depth):  # bottom-up: u holds the occupied children of this level's nodes

@@ -4,11 +4,12 @@
  * per point, with coords._lattice_indices' float64 arithmetic and
  * octree._interleave's bit order; bounding_box measures the Cartesian origin
  * as numpy's axis-0 reductions do. The caller sorts and deduplicates the
- * codes, and octree_symbols derives the breadth-first occupancy symbols, one
- * byte per node, levels 1..depth. encode_part and decode_part are the
- * compiled twin of the per-node Python coder, kernel._encode_per_node and
- * kernel._decode_per_node: an entropy.AdaptiveContextModel over the contexts
- * of octree.ContextCursor. FORMAT.md specifies the bits. Every buffer
+ * codes. encode_part derives their breadth-first occupancy symbols, one byte
+ * per node, levels 1..depth, and range-codes them; decode_part decodes the
+ * symbols, and leaf_codes expands them to the leaves' Morton codes. The coder
+ * is the compiled twin of the per-node Python coder, kernel._encode_per_node
+ * and kernel._decode_per_node: an entropy.AdaptiveContextModel over the
+ * contexts of octree.ContextCursor. FORMAT.md specifies the bits. Every buffer
  * belongs to the caller; the functions return a count, or a negative error
  * code with details in info[0..1], and never write past a buffer's capacity.
  */
@@ -29,7 +30,7 @@ enum {
     ERR_COUNT_EXCEEDS = -4, /* info[0]: nodes the tree holds */
     ERR_NOMEM = -5,
     ERR_CAPACITY = -6,     /* encoder output buffer too small */
-    ERR_SHAPE = -7,        /* encoder input is not a depth-level tree */
+    ERR_SHAPE = -7,        /* a depth or row count out of range, or leaves that disagree with a tree */
     ERR_LEAVES = -8,       /* leaf codes not sorted, unique and below 8^depth */
     ERR_RADIUS = -9,       /* a radial index past the 2^depth lattice */
 };
@@ -131,23 +132,57 @@ static int shift_low(Encoder *e) {
     return 0;
 }
 
-/* Range-code n breadth-first symbols of a depth-level octree into out[0..cap).
- * Returns the payload length. */
-int64_t encode_part(const uint8_t *symbols, int64_t n, int depth, uint8_t *out, int64_t cap) {
+/* Breadth-first symbols of the depth-level octree over n sorted, unique leaf
+ * Morton codes below 8^depth, into symbols[0..count); cells is n codes of
+ * scratch. Levels are built bottom up. Each is scanned from its last node, so
+ * its symbols land in symbols[0..cap) just below those of the level beneath,
+ * and its parents' cells fill cells[..n) from the end, over children already
+ * read: a level never has more nodes than the level below has read so far.
+ * Returns the symbol count. */
+static int64_t octree_symbols(const int64_t *codes, int64_t n, int depth, int64_t *cells, uint8_t *symbols,
+                              int64_t cap) {
+    if (n < 1 || depth < 1 || depth > 20) return ERR_LEAVES;
+    for (int64_t i = 0; i < n; i++)
+        if (codes[i] < 0 || codes[i] >> 3 * depth || (i && codes[i] <= codes[i - 1])) return ERR_LEAVES;
+    const int64_t *u = codes;
+    int64_t lo = 0, w = cap;
+    for (int level = depth; level >= 1; level--) {
+        int64_t k = n;
+        for (int64_t i = n - 1; i >= lo;) {
+            int64_t parent = u[i] >> 3;
+            unsigned sym = 0;
+            for (; i >= lo && u[i] >> 3 == parent; i--) sym |= 1u << (u[i] & 7);
+            if (w == 0) return ERR_CAPACITY;
+            symbols[--w] = (uint8_t)sym;
+            cells[--k] = parent;
+        }
+        u = cells;
+        lo = k;
+    }
+    memmove(symbols, symbols + w, (size_t)(cap - w));
+    return cap - w;
+}
+
+/* Range-code the octree over n sorted, unique leaf Morton codes below 8^depth
+ * into out[0..out_cap), its symbols built by octree_symbols into symbols[0..cap)
+ * with cells as scratch. Returns the payload length; *count is the symbol count. */
+int64_t encode_part(const int64_t *codes, int64_t n, int depth, int64_t *cells, uint8_t *symbols, int64_t cap,
+                    uint8_t *out, int64_t out_cap, int64_t *count) {
+    int64_t total = octree_symbols(codes, n, depth, cells, symbols, cap);
+    if (total < 0) return total;
+    *count = total;
     Model *m = model_new();
     if (!m) return ERR_NOMEM;
-    Encoder e = {0, 0xFFFFFFFFu, 0, 1, 0, cap, out};
+    Encoder e = {0, 0xFFFFFFFFu, 0, 1, 0, out_cap, out};
     int64_t err = 0, start = 0, nodes = 1;
     const uint8_t *parents = NULL;
     for (int level = 1; level <= depth && !err; level++) {
-        if (nodes > n - start) { err = ERR_SHAPE; break; }
         Cursor cur = {parents, 0, 0};
         for (int64_t k = start; k < start + nodes && !err; k++) {
             unsigned parent, octant, sym = symbols[k];
             next_context(&cur, &parent, &octant);
             Context *c = context(m, parent, octant, level);
             if (!c) { err = ERR_NOMEM; break; }
-            if (!sym) { err = ERR_SHAPE; break; }
             uint32_t lo = 0;
             for (unsigned i = sym - 1; i; i &= i - 1) lo += c->tree[i];
             uint32_t r = e.range / ((uint32_t)c->counts[0] + 255);
@@ -161,9 +196,8 @@ int64_t encode_part(const uint8_t *symbols, int64_t n, int depth, uint8_t *out, 
         }
         parents = symbols + start;
         start += nodes;
-        if (!err) nodes = popcount_sum(parents, nodes);
+        nodes = popcount_sum(parents, nodes);
     }
-    if (!err && start != n) err = ERR_SHAPE;
     for (int i = 0; i < 5 && !err; i++) err = shift_low(&e);
     model_free(m);
     return err ? err : e.pos;
@@ -249,37 +283,6 @@ int64_t leaf_codes(const uint8_t *symbols, int depth, int64_t *codes, int64_t le
         nodes = next;
     }
     return nodes == leaves ? nodes : ERR_SHAPE;
-}
-
-/* Breadth-first symbols of the depth-level octree over n sorted, unique leaf
- * Morton codes below 8^depth, into symbols[0..count); cells is n codes of
- * scratch. Levels are built bottom up. Each is scanned from its last node, so
- * its symbols land in symbols[0..cap) just below those of the level beneath,
- * and its parents' cells fill cells[..n) from the end, over children already
- * read: a level never has more nodes than the level below has read so far.
- * Returns the symbol count. */
-int64_t octree_symbols(const int64_t *codes, int64_t n, int depth, int64_t *cells, uint8_t *symbols,
-                       int64_t cap) {
-    if (n < 1 || depth < 1 || depth > 20) return ERR_LEAVES;
-    for (int64_t i = 0; i < n; i++)
-        if (codes[i] < 0 || codes[i] >> 3 * depth || (i && codes[i] <= codes[i - 1])) return ERR_LEAVES;
-    const int64_t *u = codes;
-    int64_t lo = 0, w = cap;
-    for (int level = depth; level >= 1; level--) {
-        int64_t k = n;
-        for (int64_t i = n - 1; i >= lo;) {
-            int64_t parent = u[i] >> 3;
-            unsigned sym = 0;
-            for (; i >= lo && u[i] >> 3 == parent; i--) sym |= 1u << (u[i] & 7);
-            if (w == 0) return ERR_CAPACITY;
-            symbols[--w] = (uint8_t)sym;
-            cells[--k] = parent;
-        }
-        u = cells;
-        lo = k;
-    }
-    memmove(symbols, symbols + w, (size_t)(cap - w));
-    return cap - w;
 }
 
 /* The low 21 bits of v moved to every third bit, bit k to bit 3k. */

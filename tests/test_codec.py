@@ -212,8 +212,12 @@ def test_depth_below_one_is_refused():
 
 
 def test_cartesian_rejects_multi_part():
-    with pytest.raises(ConfigError, match="parts"):
-        CodecConfig(system=CARTESIAN, q=0.5)  # default is 3 parts
+    # the default layout follows the system, and the config shows it; an explicit several-part cartesian is refused
+    assert dataclasses.asdict(CodecConfig(system=CARTESIAN, q=0.5))["parts"] == {"n_parts": 1, "thresholds": (0.0, 1.0)}
+    for system in (CYLINDRICAL, SPHERICAL):
+        assert CodecConfig(system=system, q=0.5).parts == MultiLevelConfig()
+    with pytest.raises(ConfigError, match="^multi-level parts require an angle-based system; use parts=1 for cartesian$"):
+        CodecConfig(system=CARTESIAN, q=0.5, parts=MultiLevelConfig())
 
 
 _EDGE_FLOATS = st.sampled_from([0.0, -0.0, -3.0, math.nan, math.inf, -math.inf])
@@ -226,7 +230,7 @@ _EDGE_FLOATS = st.sampled_from([0.0, -0.0, -3.0, math.nan, math.inf, -math.inf])
     depth=st.none() | st.integers(-2, 64),
     q=st.none() | _EDGE_FLOATS | st.floats(),
     rho_max=st.none() | _EDGE_FLOATS | st.floats(),
-    parts=st.sampled_from([ONE_PART, MultiLevelConfig()]),
+    parts=st.sampled_from([None, ONE_PART, MultiLevelConfig()]),
 )
 def test_a_config_that_constructs_resolves(system, convention, depth, q, rho_max, parts):
     try:

@@ -1,14 +1,16 @@
 """The compiled part kernel against the per-node Python coder.
 
-The Python coder is the reference path: ``kernel.encode_part`` and
-``kernel.decode_part`` run it when ``kernel.load`` finds no kernel, coding the
-``occupancy_stream``/``ContextCursor`` contexts symbol by symbol through
-``entropy`` with an ``AdaptiveContextModel``. :func:`on_both_coders` runs a
-call on the Python coder and, whenever the kernel loads (not under
-``--coder python``), on the kernel too: it must write the same payload bytes,
-decode the same leaf codes, and reject the same corrupt inputs with the same
-messages, word for word. The encoder's leaf codes, from ``kernel.lattice_codes``
-on either side, are held to ``quantize``'s numpy chain the same way.
+The Python coder is the reference path: ``kernel.encode_part`` (a part's
+sorted leaf codes to its symbol count and payload) and ``kernel.decode_part``
+(payload to leaf codes) run it when ``kernel.load`` finds no kernel, building
+the octree with numpy and coding the ``occupancy_stream``/``ContextCursor``
+contexts symbol by symbol through ``entropy`` with an
+``AdaptiveContextModel``. :func:`on_both_coders` runs a call on the Python
+coder and, whenever the kernel loads (not under ``--coder python``), on the
+kernel too: it must write the same payload bytes, decode the same leaf codes,
+and reject the same corrupt inputs with the same messages, word for word. The
+encoder's leaf codes, from ``kernel.lattice_codes`` on either side, are held
+to ``quantize``'s numpy chain the same way.
 """
 
 import functools
@@ -42,6 +44,7 @@ from lidarpcc.coords import (
     quantize,
     radial_coord,
 )
+from lidarpcc.entropy import AdaptiveContextModel, encode
 from lidarpcc.errors import ConfigError, CorruptStreamError, FormatError
 from lidarpcc.octree import (
     MultiLevelConfig,
@@ -49,6 +52,7 @@ from lidarpcc.octree import (
     _interleave,
     build,
     leaf_indices,
+    occupancy_stream,
     part_steps,
     partition_multilevel,
 )
@@ -115,8 +119,8 @@ def test_codec_matches_reference_path(case, data):
         qc = quantize(part, part_steps(steps, n))
         tree = build(qc)
         payload, count = record.payload, record.symbol_count
-        assert on_both_coders(kernel.octree_symbols, _sorted_codes(qc), depth) == tree.all_symbols().tolist()
-        assert on_both_coders(kernel.encode_part, tree.all_symbols(), depth) == payload
+        assert count == tree.node_count
+        assert on_both_coders(kernel.encode_part, _sorted_codes(qc), depth) == (count, payload)
         assert on_both_coders(kernel.decode_part, payload, depth, count) == _leaf_codes(tree)
 
         flipped = bytearray(payload)
@@ -190,9 +194,9 @@ def test_deep_levels_share_capped_contexts():
     steps = QuantSteps(CARTESIAN, 1.0, 0.0, 0.0, 1 << depth, depth, 0.0)
     qc = QuantizedCloud(np.unique(indices, axis=0), steps, len(indices))
     tree = build(qc)
-    assert on_both_coders(kernel.octree_symbols, _sorted_codes(qc), depth) == tree.all_symbols().tolist()
-    payload = on_both_coders(kernel.encode_part, tree.all_symbols(), depth)
-    assert on_both_coders(kernel.decode_part, payload, depth, tree.node_count) == _leaf_codes(tree)
+    count, payload = on_both_coders(kernel.encode_part, _sorted_codes(qc), depth)
+    assert count == tree.node_count
+    assert on_both_coders(kernel.decode_part, payload, depth, count) == _leaf_codes(tree)
 
 
 def test_both_coders_halve_counts_alike():
@@ -208,33 +212,35 @@ def test_both_coders_halve_counts_alike():
     tree = build(qc)
     if kernel.load() is None:
         pytest.skip("compiled kernel not in use")
-    assert on_both_coders(kernel.octree_symbols, _sorted_codes(qc), depth) == tree.all_symbols().tolist()
-    payload = on_both_coders(kernel.encode_part, tree.all_symbols(), depth)
-    assert on_both_coders(kernel.decode_part, payload, depth, tree.node_count) == _leaf_codes(tree)
+    count, payload = on_both_coders(kernel.encode_part, _sorted_codes(qc), depth)
+    assert count == tree.node_count
+    assert on_both_coders(kernel.decode_part, payload, depth, count) == _leaf_codes(tree)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 20), st.data())
 def test_octree_symbols_agree_on_any_codes(depth, data):
-    # sorted unique codes below 8^depth give build's symbols; anything else the same ValueError on both coders
+    # sorted unique codes below 8^depth give build's symbol count and the per-node coder's payload of its
+    # tree; anything else the same ValueError on both coders
     top = 8**depth
     near = st.integers(-2, 2) | st.integers(top - 2, top + 2) | st.integers(-(2**63), 2**63 - 1)
     codes = data.draw(st.lists(st.integers(0, top - 1) | near, max_size=40))
     if data.draw(st.booleans()):
         codes = sorted(set(codes))
     codes = np.array(codes, dtype=np.int64)
-    outcome = on_both_coders(_symbols_or_error, codes, depth)
+    outcome = on_both_coders(_payload_or_error, codes, depth)
     if len(codes) and codes[0] >= 0 and codes[-1] < top and (codes[1:] > codes[:-1]).all():
         indices = _deinterleave(codes, depth)
         steps = QuantSteps(CARTESIAN, 1.0, 0.0, 0.0, 1 << depth, depth, 0.0)
-        assert outcome == build(QuantizedCloud(indices, steps, len(codes))).all_symbols().tolist()
+        tree = build(QuantizedCloud(indices, steps, len(codes)))
+        assert outcome == (tree.node_count, encode(occupancy_stream(tree), AdaptiveContextModel()).data)
     else:
         assert outcome == f"ValueError: {len(codes)} leaf codes are not a non-empty, sorted, unique set below 8^{depth}"
 
 
-def _symbols_or_error(codes, depth):
+def _payload_or_error(codes, depth):
     try:
-        return kernel.octree_symbols(codes, depth).tolist()
+        return kernel.encode_part(codes, depth)
     except ValueError as exc:
         return f"ValueError: {exc}"
 

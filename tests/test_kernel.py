@@ -57,10 +57,38 @@ def test_library_someone_else_could_write_is_not_loaded(tmp_path, monkeypatch):
 
 
 @needs_cc
+def test_a_build_prunes_stale_libraries_and_a_cache_hit_does_not(tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir(mode=0o700)
+    stale, shared, other = (cache / f"part_kernel-{tag}.so" for tag in ("0" * 16, "1" * 16, "2" * 16))
+    for planted in (stale, shared):
+        planted.write_bytes(b"a library of an older source")
+        planted.chmod(0o700)
+    shared.chmod(0o777)  # someone else could have written it: not this user's to remove
+    notes = cache / "notes.txt"
+    notes.write_text("not a library")
+    assert kernel.open_kernel(cache) is not None
+    (built,) = [p for p in cache.glob("part_kernel-*.so") if p not in (stale, shared)]
+    assert not stale.exists() and shared.exists() and notes.exists()
+    other.write_bytes(b"a library of another source")
+    other.chmod(0o700)
+    assert kernel.open_kernel(cache) is not None  # found built: nothing is removed
+    assert sorted(cache.iterdir()) == sorted([built, shared, other, notes])
+
+
+@needs_cc
 def test_unusable_cache_dir_means_no_kernel(tmp_path):
     blocked = tmp_path / "file"
     blocked.write_text("a file where a directory should be")
     assert kernel.open_kernel(blocked / "cache") is None
+
+
+def test_the_kernel_exports_exactly_the_declared_functions():
+    # a function the C source defines without static is exported; each must have a ctypes signature, and each
+    # signature a function, so an entry merged into another is not left exported
+    definitions = re.findall(r"^(static )?[A-Za-z_][\w ]*?[\s*](\w+)\([^;{]*\)\s*\{", kernel.SOURCE.read_text(), re.M)
+    assert "octree_symbols" in {name for static, name in definitions if static}
+    assert sorted(name for static, name in definitions if not static) == sorted(kernel._SIGNATURES)
 
 
 def test_no_compiler_means_no_kernel(tmp_path, monkeypatch):
@@ -99,31 +127,19 @@ def test_fallback_writes_and_reads_the_same_bytes(monkeypatch):
     np.testing.assert_array_equal(decode_cloud(Container.from_bytes(blob)).points, points)
 
 
-def test_encode_part_rejects_what_is_not_an_octree(monkeypatch):
-    for python_coder in (False, True):  # the kernel first, when it loads
-        if python_coder:
-            monkeypatch.setattr(kernel, "load", lambda: None)
-        with pytest.raises(TypeError, match="^occupancy symbols must be uint8, not int64$"):
-            kernel.encode_part(np.array([3, 1, 128], dtype=np.int64), 2)
-        for symbols, depth in (([], 1), ([1], 2), ([1, 1, 1], 2), ([3, 0, 1], 2)):
-            message = f"^{len(symbols)} symbols are not the breadth-first occupancy of a depth-{depth} octree$"
-            with pytest.raises(ValueError, match=message):
-                kernel.encode_part(np.array(symbols, dtype=np.uint8), depth)
-
-
 def test_octree_symbols_rejects_what_are_not_leaf_codes(monkeypatch):
     for python_coder in (False, True):  # the kernel first, when it loads
         if python_coder:
             monkeypatch.setattr(kernel, "load", lambda: None)
         with pytest.raises(TypeError, match="^leaf codes must be int64, not int32$"):
-            kernel.octree_symbols(np.array([1, 2], dtype=np.int32), 1)
+            kernel.encode_part(np.array([1, 2], dtype=np.int32), 1)
         for depth in (0, 21):
             with pytest.raises(ValueError, match=rf"^octree depth {depth} outside \[1, 20\]$"):
-                kernel.octree_symbols(np.array([0]), depth)
+                kernel.encode_part(np.array([0]), depth)
         for codes, depth in (([], 1), ([2, 1], 1), ([1, 1], 1), ([-1, 3], 1), ([0, 8], 1), ([7, 64], 2)):
             message = rf"^{len(codes)} leaf codes are not a non-empty, sorted, unique set below 8\^{depth}$"
             with pytest.raises(ValueError, match=message):
-                kernel.octree_symbols(np.array(codes, dtype=np.int64), depth)
+                kernel.encode_part(np.array(codes, dtype=np.int64), depth)
 
 
 def test_point_entries_reject_what_is_not_a_row_of_three(monkeypatch):
