@@ -363,9 +363,10 @@ def cmd_bench(args, stages) -> RunRecord:
         depths = [int(d) for d in args.depths.split(",")]
     except ValueError:
         raise ConfigError(f"bad --depths value '{args.depths}'") from None
+    layout = _part_layout(args.parts, None)  # checked for every system; cartesian rows keep their one part
     jobs = []  # every config is built, and so checked, before the first row runs
     for system in systems:
-        parts = _part_layout(None if system == CARTESIAN else args.parts, None)
+        parts = None if system == CARTESIAN else layout
         for depth in depths:
             cfg = CodecConfig(system=system, depth=depth, convention=args.convention, parts=parts)
             jobs.append((cloud.points, cfg, args.peak))
@@ -459,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output")
     p.add_argument("--systems", default="cartesian,spherical")
     p.add_argument("--depths", default="8,10,12,14")
-    p.add_argument("--parts", type=int, default=None)
+    p.add_argument("--parts", type=int, default=None, help="radial parts of the angle systems (default 3); cartesian rows keep 1")
     p.add_argument("--convention", choices=CONVENTIONS, default="kitti")
     p.add_argument("--peak", type=float, default=59.70)
     p.add_argument("--workers", type=int, default=1)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import struct
 import sys
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +45,7 @@ from .octree import (
     part_steps,
 )
 from .pcio import PointCloud
+from .threads import on_two_threads
 
 MAGIC = b"SCP1"
 VERSION = 1
@@ -309,38 +309,15 @@ def _header_lattice(cloud: PointCloud, cfg: CodecConfig) -> tuple[QuantSteps, tu
 def _code_parts(work, sizes) -> list:
     """``[work(n) for n in range(len(sizes))]``, the parts of size > 0 coded on two threads.
 
-    The calling thread codes the largest part while a helper thread, started
-    for this call and joined before it returns, codes the rest, largest first.
-    Only kernel calls and numpy release the GIL, so the parts run serially on
-    the Python coder, and when at most one part has work. Results and the
-    error raised are those of the serial loop: both threads finish, then
-    results are read in part order, so the lowest-numbered failing part raises.
+    The calling thread codes the largest part while the helper thread of
+    :func:`threads.on_two_threads` codes the rest, largest first. Only kernel
+    calls and numpy release the GIL, so the parts run serially on the Python
+    coder, and when at most one part has work. Results and the error raised
+    are those of the serial loop.
     """
     busy = sorted((n for n, size in enumerate(sizes) if size), key=lambda n: -sizes[n])
-    if len(busy) < 2 or kernel.coder_name() == "python":  # loads the kernel here, before the helper starts
-        return [work(n) for n in range(len(sizes))]
-    outcomes = {}  # part → (True, result) or (False, exception)
-
-    def settle(parts) -> None:
-        for n in parts:
-            try:
-                outcomes[n] = True, work(n)
-            except Exception as exc:
-                outcomes[n] = False, exc
-
-    helper = threading.Thread(target=settle, args=(busy[1:],), name="lidarpcc-part")
-    helper.start()
-    try:
-        settle(busy[:1])
-    finally:
-        helper.join()
-    results = []
-    for n in range(len(sizes)):
-        ok, value = outcomes[n] if n in outcomes else (True, work(n))
-        if not ok:
-            raise value
-        results.append(value)
-    return results
+    serial = len(busy) < 2 or kernel.coder_name() == "python"  # loads the kernel here, before the helper starts
+    return on_two_threads(work, len(sizes), () if serial else busy[1:])
 
 
 def _part_leaves(points: np.ndarray, steps: QuantSteps) -> np.ndarray:

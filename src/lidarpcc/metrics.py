@@ -18,6 +18,7 @@ from scipy.spatial import cKDTree
 
 from .errors import MetricError
 from .pcio import PointCloud
+from .threads import on_two_threads
 
 R_SQUARED = "r_squared"
 THREE_R_SQUARED = "three_r_squared"
@@ -78,10 +79,15 @@ def d1_psnr(ref, rec, cfg: MetricConfig = MetricConfig()) -> float:
     return _psnr(_d1_mse(d_ab, d_ba), cfg)
 
 
-def _neighbours(tree: cKDTree, points: np.ndarray, k: int) -> np.ndarray:
-    """(N, k_eff) indices of each point's k nearest points in ``tree`` (built on ``points``)."""
-    k_eff = min(k, len(points))
-    _, idx = tree.query(points, k=k_eff, workers=-1)
+# Reference rows per normal-fit block: the (rows, k, 3) gather stays a few MB
+# whatever the cloud's size.
+_BLOCK_ROWS = 32768
+
+
+def _neighbours(tree: cKDTree, query: np.ndarray, k: int) -> np.ndarray:
+    """(len(query), k_eff) indices of each query point's k nearest points in ``tree``, on the calling thread."""
+    k_eff = min(k, tree.n)
+    _, idx = tree.query(query, k=k_eff, workers=1)
     return idx[:, None] if k_eff == 1 else idx
 
 
@@ -105,9 +111,30 @@ def _fit_normals(points: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.nd
     return normals, degenerate
 
 
+def _normals(tree: cKDTree, points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`estimate_normals` of ``points``, the cloud ``tree`` was built on.
+
+    Each block of :data:`_BLOCK_ROWS` rows is queried, gathered and fitted on
+    its own and written into the result, the even blocks on the calling
+    thread and the odd ones on a helper (:func:`threads.on_two_threads`). The
+    arithmetic of each row is that of one fit over all rows, so the result is
+    the same bit for bit.
+    """
+    normals = np.empty((len(points), 3))
+    degenerate = np.empty(len(points), dtype=bool)
+    blocks = -(-len(points) // _BLOCK_ROWS)
+
+    def fit(block: int) -> None:
+        rows = slice(block * _BLOCK_ROWS, (block + 1) * _BLOCK_ROWS)
+        normals[rows], degenerate[rows] = _fit_normals(points, _neighbours(tree, points[rows], k))
+
+    on_two_threads(fit, blocks, range(1, blocks, 2))
+    return normals, degenerate
+
+
 def estimate_normals(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Unoriented plane normals per point; flags neighborhoods of rank < 2."""
-    return _fit_normals(points, _neighbours(cKDTree(points), points, k))
+    return _normals(cKDTree(points), points, k)
 
 
 def _plane_mse(err: np.ndarray, normals: np.ndarray, degenerate: np.ndarray) -> float:
@@ -251,18 +278,18 @@ class MetricReport:
 def compute_report(ref, rec, cfg: MetricConfig = MetricConfig(), rate_bpp: float | None = None) -> MetricReport:
     """D1, D2 and Chamfer from two k-d trees and three queries.
 
-    The tree on ``ref`` serves the normals' k-NN query and the rec → ref
-    query, and is dropped before the normals are fitted; the tree on ``rec``
-    is built only after that, for the ref → rec query. The values equal those
-    of :func:`d1_psnr`, :func:`d2_details` and :func:`chamfer` bit for bit.
+    The tree on ``ref`` serves the rec → ref query and the normals' k-NN
+    queries, and lives until the normals are fitted, block by block
+    (:func:`_normals`); the tree on ``rec`` is built only after it is
+    dropped, for the ref → rec query. The values equal those of
+    :func:`d1_psnr`, :func:`d2_details` and :func:`chamfer` bit for bit.
     """
     a, b = _points(ref), _points(rec)
     _check_knn(a, cfg)
     tree = cKDTree(a)
-    idx = [_neighbours(tree, a, cfg.knn_k)]  # popped below, so _fit_normals can free it
     d_ba, i_ba = _nearest(tree, b)
+    normals, degenerate = _normals(tree, a, cfg.knn_k)
     del tree
-    normals, degenerate = _fit_normals(a, idx.pop())
     d_ab, i_ab = _nearest(cKDTree(b), a)
     detail = _d2(a, b, normals, degenerate, i_ab, i_ba, cfg)
     return MetricReport(

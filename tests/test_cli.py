@@ -259,6 +259,11 @@ def test_bench_builds_parts_as_encode_does(scan, tmp_path):
     assert "--thresholds is required" in enc.stderr
     assert bench.stderr == enc.stderr
     assert not (tmp_path / "p.csv").exists()
+    # --parts is checked once for every system, and cartesian rows keep their one part
+    mixed = run("bench", scan, tmp_path / "m.csv", "--systems", "spherical,cartesian", "--depths", 8, "--parts", 3)
+    assert mixed.returncode == 0, mixed.stderr
+    with open(tmp_path / "m.csv", newline="") as fh:
+        assert [(r["system"], r["parts"]) for r in csv.DictReader(fh)] == [("spherical", "3"), ("cartesian", "1")]
 
 
 def test_analyze_reconstructs_once_with_unchanged_outputs(scan, tmp_path, monkeypatch):
@@ -352,6 +357,8 @@ def test_exit_codes(scan, tmp_path):
         (("encode", scan, out, "--depth", "10", "--parts", "0"), "--parts"),
         (("encode", scan, out, "--depth", "10", "--parts", "-1"), "--parts"),
         (("bench", scan, tmp_path / "b.csv", "--systems", "spherical", "--depths", "8", "--parts", "0"), "--parts"),
+        (("bench", scan, tmp_path / "b.csv", "--systems", "cartesian", "--depths", "8", "--parts", "0"), "--parts"),
+        (("bench", scan, tmp_path / "b.csv", "--systems", "cartesian", "--depths", "8", "--parts", "7"), "--parts"),
         (("analyze", "--crossover", "--rho-max", "-1"), "rho_max"),
         (("analyze", "--crossover", "--parts", "0"), "--parts"),
         (("analyze", "--crossover", "--parts", "-4"), "--parts"),

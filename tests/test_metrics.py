@@ -1,11 +1,14 @@
 """Quality metrics against brute-force and closed-form oracles."""
 
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from lidarpcc import metrics
 from lidarpcc.errors import MetricError
@@ -171,12 +174,37 @@ def _report_cases(draw):
 @settings(max_examples=80, deadline=None)
 @given(_report_cases())
 def test_compute_report_equals_the_separate_metrics(case):
+    # 2 rows a block is below every k and n drawn: several blocks on both
+    # threads, a short last block whenever n is odd, and a block shorter than k
     ref, rec, cfg = case
-    detail = d2_details(ref, rec, cfg)
-    expect = MetricReport(
-        d1_psnr(ref, rec, cfg), detail.db, chamfer(ref, rec, cfg), 3.5, detail.degenerate_normals, cfg
-    )
-    assert compute_report(ref, rec, cfg, rate_bpp=3.5) == expect
+    one_shot = metrics._fit_normals(ref, metrics._neighbours(cKDTree(ref), ref, cfg.knn_k))
+    for block_rows in (metrics._BLOCK_ROWS, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_BLOCK_ROWS", block_rows)
+            detail = d2_details(ref, rec, cfg)
+            expect = MetricReport(
+                d1_psnr(ref, rec, cfg), detail.db, chamfer(ref, rec, cfg), 3.5, detail.degenerate_normals, cfg
+            )
+            assert compute_report(ref, rec, cfg, rate_bpp=3.5) == expect
+            normals, degenerate = estimate_normals(ref, cfg.knn_k)
+        np.testing.assert_array_equal(normals, one_shot[0])
+        np.testing.assert_array_equal(degenerate, one_shot[1])
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("lidarpcc-")]
+
+
+def test_compute_report_never_holds_every_neighbourhood():
+    # the one-shot fit held the (N, k, 3) gather of every reference row at once
+    rng = np.random.default_rng(10)
+    ref = rng.uniform(-50, 50, size=(200_000, 3))
+    rec = ref + rng.normal(scale=0.01, size=ref.shape)
+    cfg = MetricConfig()
+    tracemalloc.start()
+    try:
+        compute_report(ref, rec, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(ref) * cfg.knn_k * 3 * 8, peak
 
 
 def test_compute_report_builds_two_trees(monkeypatch):
