@@ -10,12 +10,17 @@ Container layout (all little-endian, see FORMAT.md):
 Every part is an independent octree stream with a fresh adaptive model, so
 parts decode in isolation, and one call codes its parts on two threads: its
 own and a helper that it starts and joins, so no thread outlives the call.
+An encode whose points all fall in one part (every Cartesian one) leaves no
+part for the helper, so it cuts that part's rows in two halves instead: each
+thread measures its half's bounding box, then fills, sorts and deduplicates
+its half's leaf codes, and the two sorted runs are merged once.
 rho_max, q and the header depth fully determine the quantization lattice;
 decoding is deterministic with no side state.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import sys
@@ -45,7 +50,7 @@ from .octree import (
     part_steps,
 )
 from .pcio import PointCloud
-from .threads import on_two_threads
+from .threads import helper_thread, on_two_threads
 
 MAGIC = b"SCP1"
 VERSION = 1
@@ -121,7 +126,7 @@ def convention_step(convention: str, depth: int) -> float:
     raise ConfigError(f"convention '{convention}' does not define a step from depth alone")
 
 
-def resolve_step(cfg: CodecConfig, cloud: PointCloud) -> tuple[float, float | None]:
+def resolve_step(cfg: CodecConfig, cloud: PointCloud, box=kernel.bounding_box) -> tuple[float, float | None]:
     """Return (q, rho_max) honoring the convention; rho_max None means measured.
 
     :class:`CodecConfig` has refused every bad field and combination when it
@@ -131,7 +136,8 @@ def resolve_step(cfg: CodecConfig, cloud: PointCloud) -> tuple[float, float | No
     cloud and for an angle-system cloud with every point at the origin and no
     given rho_max. A step that is not finite and positive, in any convention
     (a span so small, or a depth so large, that it underflows to 0), is
-    refused by the name of the depth.
+    refused by the name of the depth. ``box`` measures a Cartesian extent, as
+    ``derive_steps``' does.
     """
     rho_max = cfg.rho_max
     if cfg.q is not None:
@@ -139,7 +145,7 @@ def resolve_step(cfg: CodecConfig, cloud: PointCloud) -> tuple[float, float | No
     if cfg.convention in ("kitti", "ford"):
         step = convention_step(cfg.convention, cfg.depth)
     elif cfg.system == CARTESIAN:  # raw + depth: span the measured coordinate range with 2^D − 1 steps
-        lo, hi = kernel.bounding_box(cloud.points)
+        lo, hi = box(cloud.points)
         extent = float((hi - lo).max())
         if extent <= 0:
             raise ConfigError("cannot derive a step for a degenerate (single-voxel) cloud")
@@ -284,6 +290,8 @@ class Container:
             raise CorruptStreamError("container missing point-count trailer")
         (original_count,) = struct.unpack_from("<Q", blob, off)
         off += 8
+        if original_count == 0:
+            raise CorruptStreamError("point-count trailer is 0, but every container codes at least one point")
         if off != len(blob):
             raise CorruptStreamError(f"{len(blob) - off} trailing bytes after container end")
         return cls(
@@ -292,12 +300,12 @@ class Container:
         )
 
 
-def _header_lattice(cloud: PointCloud, cfg: CodecConfig) -> tuple[QuantSteps, tuple]:
-    """The base steps and thresholds the header will carry; refused unless they decode."""
+def _header_lattice(cloud: PointCloud, cfg: CodecConfig, box=kernel.bounding_box) -> tuple[QuantSteps, tuple]:
+    """The base steps and thresholds the header will carry, a Cartesian extent measured by ``box``; refused unless they decode."""
     if len(cloud) == 0:
         raise ConfigError("cannot quantize an empty cloud")
-    q, rho_override = resolve_step(cfg, cloud)
-    steps = derive_steps(cfg.system, q, cloud, rho_override, box=kernel.bounding_box)
+    q, rho_override = resolve_step(cfg, cloud, box)
+    steps = derive_steps(cfg.system, q, cloud, rho_override, box=box)
     thresholds = cfg.parts.thresholds[: cfg.parts.n_parts]
     fault = _header_fault(cfg.system, steps.depth, steps.q_primary, steps.rho_max, steps.origin_offset,
                           np.asarray(thresholds, dtype=np.float32).tolist())  # as the header stores them
@@ -306,41 +314,96 @@ def _header_lattice(cloud: PointCloud, cfg: CodecConfig) -> tuple[QuantSteps, tu
     return steps, thresholds
 
 
-def _code_parts(work, sizes) -> list:
+def _code_parts(work, sizes, submit=None) -> list:
     """``[work(n) for n in range(len(sizes))]``, the parts of size > 0 coded on two threads.
 
     The calling thread codes the largest part while the helper thread of
-    :func:`threads.on_two_threads` codes the rest, largest first. Only kernel
-    calls and numpy release the GIL, so the parts run serially on the Python
-    coder, and when at most one part has work. Results and the error raised
-    are those of the serial loop.
+    :func:`threads.on_two_threads` (that of ``submit``'s block, if given)
+    codes the rest, largest first. Only kernel calls and numpy release the
+    GIL, so the parts run serially on the Python coder, and when at most one
+    part has work: the encoder then cuts a lone part's rows in two instead
+    (:func:`_part_leaves`). Results and the error raised are those of the
+    serial loop.
     """
     busy = sorted((n for n, size in enumerate(sizes) if size), key=lambda n: -sizes[n])
     serial = len(busy) < 2 or kernel.coder_name() == "python"  # loads the kernel here, before the helper starts
-    return on_two_threads(work, len(sizes), () if serial else busy[1:])
+    return on_two_threads(work, len(sizes), () if serial else busy[1:], submit)
 
 
-def _part_leaves(points: np.ndarray, steps: QuantSteps) -> np.ndarray:
-    """A part's sorted, unique leaf Morton codes: ``np.sort(_interleave(quantize(...).indices, depth))``."""
-    codes = kernel.lattice_codes(points, steps)
-    codes.sort()
+def _cuts(rows: int, submit) -> tuple:
+    """Where a part's rows are cut: in two halves, ``(0, rows // 2, rows)``, given a helper's ``submit`` and two rows."""
+    return (0, rows // 2, rows) if submit is not None and rows > 1 else (0, rows)
+
+
+def _bounding_box(points: np.ndarray, submit=None) -> tuple[np.ndarray, np.ndarray]:
+    """``kernel.bounding_box(points)``; given ``submit``, its halves measured on two threads and combined once.
+
+    The halves combine by the kernel's own rule: of equal extremes, such as
+    +0 and −0, the later one wins.
+    """
+    cuts = _cuts(len(points), submit)
+    (lo, hi), *later = on_two_threads(lambda i: kernel.bounding_box(points[cuts[i] : cuts[i + 1]]),
+                                      len(cuts) - 1, range(1, len(cuts) - 1), submit)
+    for later_lo, later_hi in later:
+        lo, hi = np.where(later_lo > lo, lo, later_lo), np.where(later_hi < hi, hi, later_hi)
+    return lo, hi
+
+
+def _drop_repeats(codes: np.ndarray) -> np.ndarray:
+    """Sorted codes without their repeats, by a neighbour compare."""
     return codes[np.diff(codes, prepend=-1) != 0]  # codes are ≥ 0, so the prepended −1 keeps the first
 
 
+def _part_leaves(points: np.ndarray, steps: QuantSteps, submit=None) -> np.ndarray:
+    """A part's sorted, unique leaf Morton codes: ``np.sort(_interleave(quantize(...).indices, depth))``.
+
+    Given a helper's ``submit`` (the encoder passes it for a lone busy part on
+    the C coder), the rows are cut in two halves: the calling thread and the
+    helper each fill, sort and deduplicate one half's codes
+    (:func:`kernel.lattice_rows`), and the two sorted runs are merged once.
+    """
+    cuts = _cuts(len(points), submit)
+    if len(cuts) == 2:
+        codes = kernel.lattice_codes(points, steps)
+        codes.sort()
+        return _drop_repeats(codes)
+    codes, fill = kernel.lattice_rows(points, steps)
+
+    def half(i: int) -> np.ndarray:
+        fill(cuts[i], cuts[i + 1])
+        run = codes[cuts[i] : cuts[i + 1]]
+        run.sort()
+        return _drop_repeats(run)
+
+    merged = np.concatenate(on_two_threads(half, 2, [1], submit))
+    merged.sort(kind="stable")  # timsort merges the two sorted runs
+    return _drop_repeats(merged)
+
+
 def encode_cloud(cloud: PointCloud, cfg: CodecConfig) -> Container:
-    """Quantize each radial part to its sorted, unique leaf Morton codes, code its octree, and pack the container."""
-    steps, thresholds = _header_lattice(cloud, cfg)
-    part = part_assignment(cloud.points, cfg.parts, steps.rho_max, cfg.system)
-    sizes = np.bincount(part, minlength=cfg.parts.n_parts).tolist() if cfg.parts.n_parts > 1 else [len(cloud)]
+    """Quantize each radial part to its sorted, unique leaf Morton codes, code its octree, and pack the container.
 
-    def code(n: int) -> PartRecord:
-        if not sizes[n]:
-            return PartRecord(0, True, b"")
-        st = part_steps(steps, n)
-        leaves = _part_leaves(cloud.points if len(sizes) == 1 else cloud.points[part == n], st)
-        count, payload = kernel.encode_part(leaves, st.depth)
-        return PartRecord(count, False, payload)
+    Busy parts share the call's one helper thread (:func:`_code_parts`); a
+    lone busy part's rows share it instead (:func:`_part_leaves`).
+    """
+    with helper_thread() as submit:
+        if kernel.coder_name() == "python":  # loads the kernel here, before the helper starts
+            submit = None
+        # only a Cartesian header measures the box, and a Cartesian cloud is a lone part
+        steps, thresholds = _header_lattice(cloud, cfg, functools.partial(_bounding_box, submit=submit))
+        part = part_assignment(cloud.points, cfg.parts, steps.rho_max, cfg.system)
+        sizes = np.bincount(part, minlength=cfg.parts.n_parts).tolist() if cfg.parts.n_parts > 1 else [len(cloud)]
+        rows = submit if sum(size > 0 for size in sizes) == 1 else None  # a lone busy part: its rows on two threads
 
+        def code(n: int) -> PartRecord:
+            if not sizes[n]:
+                return PartRecord(0, True, b"")
+            st = part_steps(steps, n)
+            leaves = _part_leaves(cloud.points if len(sizes) == 1 else cloud.points[part == n], st, rows)
+            count, payload = kernel.encode_part(leaves, st.depth)
+            return PartRecord(count, False, payload)
+
+        records = _code_parts(code, sizes, submit)
     return Container(
         cfg.system,
         steps.depth,
@@ -348,7 +411,7 @@ def encode_cloud(cloud: PointCloud, cfg: CodecConfig) -> Container:
         steps.rho_max,
         steps.origin_offset,
         thresholds,
-        tuple(_code_parts(code, sizes)),
+        tuple(records),
         len(cloud),
     )
 

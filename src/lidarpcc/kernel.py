@@ -3,16 +3,18 @@
 Per part the codec calls :func:`lattice_codes` (points to leaf Morton codes),
 sorts and deduplicates the codes, then calls :func:`encode_part` (leaf codes
 to symbol count and payload), or on decode :func:`decode_part` (payload to
-leaf codes); :func:`bounding_box` measures the Cartesian origin. This module
-alone chooses the implementation. :func:`load` compiles the C source with the
-system ``cc`` into a per-user cache the first time a call asks for it;
-without a compiler, or without a cache directory private to the user, it
-returns None and every call runs its Python twin: ``coords``' numpy lattice
-chain and ``bounding_box``, and the per-node coder (``_encode_per_node``,
-which builds the octree with ``octree._levels``, and ``_decode_per_node``).
-The twins give the same bits and raise the same errors; the coder runs
-100 to 300 times slower per symbol (README, *Speed*). Kernel calls release the
-GIL, so parts can be coded on several threads.
+leaf codes); :func:`bounding_box` measures the Cartesian origin. A lone part
+is coded in two halves of its rows on two threads: :func:`lattice_rows` fills
+its codes range by range. This module alone chooses the implementation.
+:func:`load` compiles the C source with the system ``cc`` into a per-user
+cache the first time a call asks for it; without a compiler, or without a
+cache directory private to the user, it returns None and every call but
+:func:`lattice_rows` runs its Python twin: ``coords``' numpy lattice chain
+and ``bounding_box``, and the per-node coder (``_encode_per_node``, which
+builds the octree with ``octree._levels``, and ``_decode_per_node``). The
+twins give the same bits and raise the same errors; the coder runs 100 to 300
+times slower per symbol (README, *Speed*). Kernel calls release the GIL, so
+parts, and a lone part's halves, can be coded on two threads.
 """
 
 from __future__ import annotations
@@ -143,6 +145,11 @@ def _ptr(array: np.ndarray, kind):
     return array.ctypes.data_as(kind)
 
 
+def _check_depth(depth: int) -> None:
+    if not 1 <= depth <= MAX_DEPTH:
+        raise ValueError(f"octree depth {depth} outside [1, {MAX_DEPTH}]")
+
+
 def _rows(points) -> np.ndarray:
     """``points`` as a C-contiguous (N, 3) float64 array, the layout the kernel reads."""
     points = np.ascontiguousarray(points, dtype=np.float64)
@@ -160,28 +167,45 @@ def lattice_codes(points: np.ndarray, steps: coords.QuantSteps) -> np.ndarray:
     the kernel takes over the offset, divide, round, clip and interleave, and
     reads Cartesian points in place.
     """
-    depth = steps.depth
-    if not 1 <= depth <= MAX_DEPTH:
-        raise ValueError(f"octree depth {depth} outside [1, {MAX_DEPTH}]")
+    if load() is not None:
+        codes, fill = lattice_rows(points, steps)
+        fill(0, len(codes))
+        return codes
+    _check_depth(steps.depth)
+    return _interleave(coords._lattice_indices(_rows(points), steps), steps.depth)
+
+
+def lattice_rows(points: np.ndarray, steps: coords.QuantSteps):
+    """``(codes, fill)``: :func:`lattice_codes` of ``points`` in row ranges, on the compiled kernel alone.
+
+    ``codes`` is an int64 array with a slot per row, and ``fill(start, stop)``
+    writes the codes of rows [start, stop) into ``codes[start:stop]``; ranges
+    may be filled on different threads. The coordinates are computed once, for
+    every row, before any range is filled, so a row's code does not depend on
+    the range it is filled in, and a radius past the lattice in any range
+    raises the refusal that names the maximum radius of all the rows.
+    """
+    _check_depth(steps.depth)
     points = _rows(points)
     lib = load()
-    if lib is None:
-        return _interleave(coords._lattice_indices(points, steps), depth)
     if steps.system == coords.CARTESIAN:  # read in place, one row of three apart
         columns, stride, offset = list(points.T), 3, steps.offset_vector()
     else:  # the columns carry their offset already
         columns = [np.ascontiguousarray(c, dtype=np.float64) for c in coords._coordinate_columns(points, steps)]
         stride, offset = 1, np.zeros(3)
-    codes = np.empty(len(columns[0]), dtype=np.int64)
+    codes = np.empty(len(points), dtype=np.int64)
     step = np.ascontiguousarray(steps.step_vector(), dtype=np.float64)  # a QuantSteps may hold integer steps
-    done = lib.lattice_codes(*(_ptr(column, _f64p) for column in columns), stride, len(codes),
-                             _ptr(offset, _f64p), _ptr(step, _f64p), depth, steps.system != coords.CARTESIAN,
-                             _ptr(codes, _i64p))
-    if done == _RADIUS:
-        raise coords.radius_past_lattice(steps, columns[0])
-    if done != len(codes):
-        raise RuntimeError(f"part kernel failed with code {done}")
-    return codes
+
+    def fill(start: int, stop: int) -> None:
+        done = lib.lattice_codes(*(_ptr(column[start:], _f64p) for column in columns), stride, stop - start,
+                                 _ptr(offset, _f64p), _ptr(step, _f64p), steps.depth,
+                                 steps.system != coords.CARTESIAN, _ptr(codes[start:], _i64p))
+        if done == _RADIUS:
+            raise coords.radius_past_lattice(steps, columns[0])
+        if done != stop - start:
+            raise RuntimeError(f"part kernel failed with code {done}")
+
+    return codes, fill
 
 
 def bounding_box(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -206,8 +230,7 @@ def encode_part(codes: np.ndarray, depth: int) -> tuple[int, bytes]:
     """
     if codes.dtype != np.int64:
         raise TypeError(f"leaf codes must be int64, not {codes.dtype}")
-    if not 1 <= depth <= MAX_DEPTH:
-        raise ValueError(f"octree depth {depth} outside [1, {MAX_DEPTH}]")
+    _check_depth(depth)
     lib = load()
     if lib is None:
         return _encode_per_node(codes, depth)

@@ -68,6 +68,20 @@ def test_containers_are_byte_identical_across_processes(scan, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_a_zero_point_count_trailer_is_a_corrupt_stream(tmp_path):
+    # decode once printed "originally 0 points", and metrics died in measure_bpp with exit 1
+    small, enc, dec = tmp_path / "small.bin", tmp_path / "small.scp", tmp_path / "small.ply"
+    assert run("synth", small, "--beams", 4, "--points-per-ring", 64, "--seed", 0).returncode == 0
+    assert run("encode", small, enc, "--system", "spherical", "--depth", 10).returncode == 0
+    assert run("decode", enc, dec).returncode == 0
+    enc.write_bytes(enc.read_bytes()[:-8] + bytes(8))
+    for argv in (("decode", enc, tmp_path / "zero.ply"), ("metrics", small, dec, "--container", enc)):
+        proc = run(*argv)
+        assert proc.returncode == 3, (argv, proc.stderr)
+        assert "corrupt stream" in proc.stderr and "point-count trailer is 0" in proc.stderr, argv
+        assert "Traceback" not in proc.stderr and proc.stdout == "", argv
+
+
 def test_manifest_records_hashes_and_stages(scan, tmp_path):
     enc = tmp_path / "m.scp"
     proc = run("encode", scan, enc, "--system", "cartesian", "--depth", "9",

@@ -371,6 +371,56 @@ def test_no_thread_outlives_a_call(monkeypatch, python_coder):
     assert [t.name for t in threading.enumerate() if t.name.startswith("lidarpcc-")] == []
 
 
+def _thread_starts(monkeypatch, call, *args) -> int:
+    """How many threads ``call(*args)`` starts."""
+    starts = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        starts.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    call(*args)
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return len(starts)
+
+
+@pytest.mark.parametrize("python_coder", [False, True])
+def test_encode_starts_one_helper_and_none_nested(monkeypatch, python_coder):
+    # a lone busy part's rows, box and leaf codes, share the one helper; three busy parts
+    # use it for parts and none of them cuts its rows, so no helper starts inside it
+    if python_coder:
+        monkeypatch.setattr(kernel, "load", lambda: None)
+    helpers = 0 if kernel.coder_name() == "python" else 1
+    sweep = synth_lidar(SynthParams(beams=8, points_per_ring=128, seed=2))
+    three = encode_cloud(sweep, _KITTI11)
+    assert len(three.parts) == 3 and not any(p.empty for p in three.parts)
+    for cloud, cfg in (
+        (sweep, CodecConfig(system=CARTESIAN, depth=10, convention="kitti")),
+        (sweep, CodecConfig(system=CARTESIAN, depth=10, convention="raw")),  # the box is measured twice
+        (sweep, CodecConfig(system=SPHERICAL, depth=10, convention="kitti", parts=ONE_PART)),
+        (sweep, _KITTI11),
+    ):
+        assert _thread_starts(monkeypatch, encode_cloud, cloud, cfg) == helpers, cfg
+    # one row has no halves, and an angle system with one busy part of three cuts that part
+    assert _thread_starts(monkeypatch, encode_cloud, PointCloud(np.ones((1, 3))), CodecConfig(q=0.5)) == 0
+    near = PointCloud(sweep.points[np.linalg.norm(sweep.points, axis=1) < 8.0])
+    lone = CodecConfig(system=SPHERICAL, q=0.5, rho_max=80.0)
+    assert [p.empty for p in encode_cloud(near, lone).parts] == [False, True, True]
+    assert _thread_starts(monkeypatch, encode_cloud, near, lone) == helpers
+
+
+@pytest.mark.parametrize("far", [0, -1])
+def test_a_refused_radius_names_the_whole_part_in_either_half(far):
+    # the rows are cut in two; the refusal names the largest radius of them all, whichever half holds it
+    points = _cloud(n=101, scale=5.0).points.copy()
+    points[far], points[-1 - far] = (30.0, -40.0, 0.0), (0.0, 0.0, 40.0)  # ρ = 50 and 40, both past the lattice
+    cfg = CodecConfig(system=SPHERICAL, q=0.5, rho_max=10.0, parts=ONE_PART)
+    with pytest.raises(ConfigError, match=r"^rho_max=10\.0 smaller than cloud max radius 50$"):
+        encode_cloud(PointCloud(points), cfg)
+
+
 def test_a_forked_child_codes_parts_like_its_parent():
     # the parent codes its parts on a helper thread before it forks; the child starts its own
     cloud = synth_lidar(SynthParams(beams=8, points_per_ring=128, seed=2))

@@ -1,6 +1,7 @@
 """Coordinate transforms and lattice quantization."""
 
 import dataclasses
+import functools
 import math
 import warnings
 
@@ -10,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lidarpcc import kernel
+from lidarpcc import codec, kernel
 from lidarpcc.coords import (
     CARTESIAN,
     CYLINDRICAL,
@@ -30,6 +31,7 @@ from lidarpcc.coords import (
 )
 from lidarpcc.errors import ConfigError
 from lidarpcc.pcio import PointCloud
+from lidarpcc.threads import helper_thread
 
 coord = st.floats(-300.0, 300.0, allow_nan=False, allow_infinity=False, width=64)
 
@@ -145,15 +147,18 @@ def test_bounding_box_keeps_the_signs_of_zero_of_the_axis_reductions():
     # per-column mins and maxes pick a different ±0 than the axis-0 reductions on
     # some of these clouds, and the Cartesian origin is written to the header
     rng = np.random.default_rng(17)
-    for n in (1, 2, 5, 64, 3000):
-        for _ in range(40):
-            pts = rng.choice([0.0, -0.0, 1.0, 2.0], size=(n, 3)) * rng.choice([1.0, -1.0])
-            for box in (bounding_box, kernel.bounding_box):  # the kernel's one pass over the rows too
-                lo, hi = box(pts)
-                assert lo.tobytes() == pts.min(axis=0).tobytes()
-                assert hi.tobytes() == pts.max(axis=0).tobytes()
-                origin = derive_steps(CARTESIAN, 0.5, PointCloud(pts), box=box).origin_offset
-                assert np.array(origin).tobytes() == pts.min(axis=0).tobytes()
+    with helper_thread() as submit:
+        # the kernel's one pass over the rows too, and the encoder's two halves of them, combined
+        boxes = (bounding_box, kernel.bounding_box, functools.partial(codec._bounding_box, submit=submit))
+        for n in (1, 2, 5, 64, 3000):
+            for _ in range(40):
+                pts = rng.choice([0.0, -0.0, 1.0, 2.0], size=(n, 3)) * rng.choice([1.0, -1.0])
+                for box in boxes:
+                    lo, hi = box(pts)
+                    assert lo.tobytes() == pts.min(axis=0).tobytes()
+                    assert hi.tobytes() == pts.max(axis=0).tobytes()
+                    origin = derive_steps(CARTESIAN, 0.5, PointCloud(pts), box=box).origin_offset
+                    assert np.array(origin).tobytes() == pts.min(axis=0).tobytes()
 
 
 def test_cylindrical_depth_covers_z():

@@ -57,6 +57,7 @@ from lidarpcc.octree import (
     partition_multilevel,
 )
 from lidarpcc.pcio import PointCloud
+from lidarpcc.threads import helper_thread
 
 ONE_PART = MultiLevelConfig(1, (0.0, 1.0))
 
@@ -183,6 +184,36 @@ def test_lattice_codes_match_the_quantize_chain(case):
     assert outcome == _outcome(_or_refusal, lambda: _sorted_codes(quantize(PointCloud(points), steps)))
     if isinstance(outcome, str):
         assert outcome.startswith(f"ConfigError: rho_max={steps.rho_max} smaller than cloud max radius ")
+
+
+@st.composite
+def cut_lattices(draw):
+    """:func:`lattices`, as drawn, or doubled so every voxel lies on both sides of the cut, or in one voxel."""
+    points, steps = draw(lattices())
+    shape = draw(st.sampled_from(["as drawn", "straddling", "one voxel"]), label="shape")
+    if shape == "straddling":  # the cut at n // 2 falls after the drawn rows, and the copies follow it shuffled
+        order = draw(st.permutations(range(len(points))), label="order")
+        odd = points[:1] if draw(st.booleans(), label="odd") else points[:0]
+        points = np.concatenate([points, points[order], odd])
+    elif shape == "one voxel":
+        points = np.repeat(points[:1], draw(st.integers(1, 9), label="rows"), axis=0)
+    return points, steps
+
+
+def _cut_leaves(points, steps):
+    """The codec's leaf codes with the rows cut in two halves on two threads, as a lone part's; serial on the Python coder."""
+    with helper_thread() as submit:
+        return _part_leaves(points, steps, submit if kernel.coder_name() == "c" else None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cut_lattices())
+def test_cut_rows_give_the_quantize_chains_leaves(case):
+    # each half filled, sorted and deduplicated on its own thread, then merged: the reference
+    # chain's leaves bit for bit, and its refusal word for word, naming the radius of all the rows
+    points, steps = case
+    outcome = on_both_coders(_or_refusal, _cut_leaves, points, steps)
+    assert outcome == _outcome(_or_refusal, lambda: _sorted_codes(quantize(PointCloud(points), steps)))
 
 
 def test_deep_levels_share_capped_contexts():
