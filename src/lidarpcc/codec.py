@@ -36,7 +36,6 @@ from .coords import (
     SYSTEMS,
     QuantSteps,
     derive_steps,
-    lattice_points,
     lattice_steps,
     radial_coord,
     reconstruct_points,
@@ -45,7 +44,6 @@ from .errors import ConfigError, CorruptStreamError, FormatError
 from .octree import (
     MAX_DEPTH,
     MultiLevelConfig,
-    _deinterleave,
     part_assignment,
     part_steps,
 )
@@ -351,7 +349,10 @@ def _bounding_box(points: np.ndarray, submit=None) -> tuple[np.ndarray, np.ndarr
 
 def _drop_repeats(codes: np.ndarray) -> np.ndarray:
     """Sorted codes without their repeats, by a neighbour compare."""
-    return codes[np.diff(codes, prepend=-1) != 0]  # codes are ≥ 0, so the prepended −1 keeps the first
+    keep = np.empty(len(codes), dtype=bool)
+    keep[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+    return codes[keep]
 
 
 def _part_leaves(points: np.ndarray, steps: QuantSteps, submit=None) -> np.ndarray:
@@ -434,7 +435,7 @@ def decode_cloud(container: Container) -> PointCloud:
             codes = kernel.decode_part(part.payload, st.depth, part.symbol_count)
         except CorruptStreamError as exc:
             raise CorruptStreamError(f"part {n}: {exc}") from None
-        return lattice_points(_deinterleave(codes, st.depth), st)
+        return kernel.leaf_points(codes, st)
 
     sizes = [0 if part.empty else part.symbol_count for part in container.parts]
     chunks = [points for points in _code_parts(decode, sizes) if points is not None]

@@ -3,15 +3,17 @@
 Per part the codec calls :func:`lattice_codes` (points to leaf Morton codes),
 sorts and deduplicates the codes, then calls :func:`encode_part` (leaf codes
 to symbol count and payload), or on decode :func:`decode_part` (payload to
-leaf codes); :func:`bounding_box` measures the Cartesian origin. A lone part
+leaf codes) and :func:`leaf_points` (leaf codes to voxel centres);
+:func:`bounding_box` measures the Cartesian origin. A lone part
 is coded in two halves of its rows on two threads: :func:`lattice_rows` fills
 its codes range by range. This module alone chooses the implementation.
 :func:`load` compiles the C source with the system ``cc`` into a per-user
 cache the first time a call asks for it; without a compiler, or without a
 cache directory private to the user, it returns None and every call but
 :func:`lattice_rows` runs its Python twin: ``coords``' numpy lattice chain
-and ``bounding_box``, and the per-node coder (``_encode_per_node``, which
-builds the octree with ``octree._levels``, and ``_decode_per_node``). The
+and ``bounding_box``, the numpy de-interleave and ``coords.lattice_points``,
+and the per-node coder (``_encode_per_node``, which builds the octree with
+``octree._levels``, and ``_decode_per_node``). The
 twins give the same bits and raise the same errors; the coder runs 100 to 300
 times slower per symbol (README, *Speed*). Kernel calls release the GIL, so
 parts, and a lone part's halves, can be coded on two threads.
@@ -35,10 +37,21 @@ import numpy as np
 
 from . import coords, entropy
 from .errors import CorruptStreamError
-from .octree import MAX_DEPTH, ContextCursor, Octree, _expand_cells, _interleave, _levels, occupancy_stream, rebuild
+from .octree import (
+    MAX_DEPTH,
+    ContextCursor,
+    Octree,
+    _deinterleave,
+    _expand_cells,
+    _interleave,
+    _levels,
+    occupancy_stream,
+    rebuild,
+)
 
 SOURCE = Path(__file__).with_name("part_kernel.c")
-CFLAGS = ("-O2", "-shared", "-fPIC", "-lm")  # given after the source, as -lm must follow the code that calls rint
+# given after the source, as -lm must follow the code that calls rint; no FMA, so index·step + offset rounds twice
+CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC", "-lm")
 
 # error codes of part_kernel.c
 _EXHAUSTED, _DESYNC, _COUNT_INSIDE, _COUNT_EXCEEDS, _NOMEM, _CAPACITY, _SHAPE, _LEAVES, _RADIUS = range(-1, -10, -1)
@@ -55,6 +68,7 @@ _SIGNATURES = {
                     _i64p],
     "decode_part": [_u8p, ctypes.c_int64, ctypes.c_int, ctypes.c_int64, _u8p, _i64p],
     "leaf_codes": [_u8p, ctypes.c_int, _i64p, ctypes.c_int64],
+    "code_points": [_i64p, ctypes.c_int64, _f64p, _f64p, _f64p],
 }
 
 
@@ -282,6 +296,28 @@ def decode_part(payload: bytes, depth: int, symbol_count: int) -> np.ndarray:
     if done != leaves:
         raise RuntimeError(f"part kernel expanded {done} of {leaves} leaves")
     return codes
+
+
+def leaf_points(codes: np.ndarray, steps: coords.QuantSteps) -> np.ndarray:
+    """Cartesian voxel centres of a part's leaf Morton codes, (N, 3) float64, in code order.
+
+    The points equal ``coords.lattice_points(_deinterleave(codes, depth), steps)``
+    bit for bit. The kernel de-interleaves and writes index·step, plus the
+    offset for Cartesian points; the angle systems' offset and trig stay
+    numpy's (``coords.untransform_points``).
+    """
+    lib = load()
+    if lib is None:
+        return coords.lattice_points(_deinterleave(codes, steps.depth), steps)
+    codes = np.ascontiguousarray(codes, dtype=np.int64)
+    cartesian = steps.system == coords.CARTESIAN
+    offset = steps.offset_vector() if cartesian else np.zeros(3)  # + 0.0 leaves index·step ≥ +0 as it is
+    step = np.ascontiguousarray(steps.step_vector(), dtype=np.float64)
+    out = np.empty((len(codes), 3))
+    done = lib.code_points(_ptr(codes, _i64p), len(codes), _ptr(step, _f64p), _ptr(offset, _f64p), _ptr(out, _f64p))
+    if done != len(codes):
+        raise RuntimeError(f"part kernel failed with code {done}")
+    return out if cartesian else coords.untransform_points(out, steps)
 
 
 def _encode_per_node(codes: np.ndarray, depth: int) -> tuple[int, bytes]:

@@ -1,4 +1,4 @@
-/* One radial part, from its points to its range-coded occupancy stream.
+/* One radial part, from its points to its range-coded occupancy stream and back.
  *
  * lattice_codes turns a part's coordinate columns into one leaf Morton code
  * per point, with coords._lattice_indices' float64 arithmetic and
@@ -6,7 +6,10 @@
  * as numpy's axis-0 reductions do. The caller sorts and deduplicates the
  * codes. encode_part derives their breadth-first occupancy symbols, one byte
  * per node, levels 1..depth, and range-codes them; decode_part decodes the
- * symbols, and leaf_codes expands them to the leaves' Morton codes. The coder
+ * symbols, leaf_codes expands them to the leaves' Morton codes by their set
+ * bits, and code_points turns those codes back into lattice coordinates with
+ * coords.lattice_points' float64 arithmetic (built with -ffp-contract=off, so
+ * index * step + offset rounds twice, as in numpy). The coder
  * is the compiled twin of the per-node Python coder, kernel._encode_per_node
  * and kernel._decode_per_node: an entropy.AdaptiveContextModel over the
  * contexts of octree.ContextCursor. FORMAT.md specifies the bits. Every buffer
@@ -276,8 +279,11 @@ int64_t leaf_codes(const uint8_t *symbols, int depth, int64_t *codes, int64_t le
         if (next > leaves) return ERR_SHAPE;
         for (int64_t j = nodes - 1; j >= 0; j--) {
             int64_t cell = codes[j] << 3;
-            for (int c = 7; c >= 0; c--)
-                if (s[j] >> c & 1) codes[--w] = cell | c;
+            for (unsigned m = s[j]; m;) { /* set bits, highest first */
+                int c = 31 - __builtin_clz(m);
+                codes[--w] = cell | c;
+                m ^= 1u << c;
+            }
         }
         start += nodes;
         nodes = next;
@@ -317,6 +323,28 @@ int64_t lattice_codes(const double *x, const double *y, const double *z, int64_t
         }
         codes[i] = (int64_t)code;
     }
+    return n;
+}
+
+/* The bits of v at every third position, bit 3k to bit k: the inverse of spread. */
+static uint64_t compact(uint64_t v) {
+    v &= 0x1249249249249249ull;
+    v = (v | v >> 2) & 0x10C30C30C30C30C3ull;
+    v = (v | v >> 4) & 0x100F00F00F00F00Full;
+    v = (v | v >> 8) & 0x1F0000FF0000FFull;
+    v = (v | v >> 16) & 0x1F00000000FFFFull;
+    v = (v | v >> 32) & 0x1FFFFF;
+    return v;
+}
+
+/* Lattice coordinates of n leaf Morton codes, the inverse of lattice_codes:
+ * row i of out (n x 3) is index_k * step[k] + offset[k] for the three axes,
+ * rounded after the product and after the sum, as coords.lattice_points
+ * computes them before any trig. Returns n. */
+int64_t code_points(const int64_t *codes, int64_t n, const double *step, const double *offset, double *out) {
+    for (int64_t i = 0; i < n; i++)
+        for (int k = 0; k < 3; k++)
+            out[3 * i + k] = (double)compact((uint64_t)codes[i] >> (2 - k)) * step[k] + offset[k];
     return n;
 }
 

@@ -2,8 +2,9 @@
 
 ``--coder python`` replaces the compiled-kernel loader with one that finds no
 kernel, so the codec's calls per part run their Python twins across the whole
-suite: ``kernel.lattice_codes`` the numpy lattice chain, and
-``kernel.encode_part`` (leaf codes to symbol count and payload) and
+suite: ``kernel.lattice_codes`` the numpy lattice chain,
+``kernel.leaf_points`` the numpy de-interleave and ``coords.lattice_points``,
+and ``kernel.encode_part`` (leaf codes to symbol count and payload) and
 ``kernel.decode_part`` (payload to leaf codes) the per-node Python coder,
 ``kernel._encode_per_node``/``kernel._decode_per_node``. The default, ``auto``, uses the kernel whenever it builds.
 The report header, or under ``-q`` the summary, names the session's coder.

@@ -10,7 +10,8 @@ coder and, whenever the kernel loads (not under ``--coder python``), on the
 kernel too: it must write the same payload bytes, decode the same leaf codes,
 and reject the same corrupt inputs with the same messages, word for word. The
 encoder's leaf codes, from ``kernel.lattice_codes`` on either side, are held
-to ``quantize``'s numpy chain the same way.
+to ``quantize``'s numpy chain the same way, and the decoder's voxel centres,
+from ``kernel.leaf_points``, to ``coords.lattice_points`` bit for bit.
 """
 
 import functools
@@ -40,6 +41,7 @@ from lidarpcc.coords import (
     QuantizedCloud,
     QuantSteps,
     derive_steps,
+    lattice_points,
     lattice_steps,
     quantize,
     radial_coord,
@@ -216,18 +218,57 @@ def test_cut_rows_give_the_quantize_chains_leaves(case):
     assert outcome == _outcome(_or_refusal, lambda: _sorted_codes(quantize(PointCloud(points), steps)))
 
 
-def test_deep_levels_share_capped_contexts():
-    # levels past AdaptiveContextModel.LEVEL_CAP (16) share their contexts;
-    # the hypothesis cases above reach part depth 17 at most
-    rng = np.random.default_rng(21)
-    depth = 19
-    indices = rng.integers(0, 1 << depth, size=(40, 3))
+@st.composite
+def part_leaves(draw):
+    """Leaf codes of one part, 0 and 8^depth − 1 among them, and its steps: any system, depth and part, ±0 and 1e15 origins."""
+    system = draw(st.sampled_from(SYSTEMS), label="system")
+    depth = draw(st.integers(1, 20), label="depth")
+    n = draw(st.integers(0, min(2, depth - 1)), label="part")
+    q = draw(st.sampled_from([0.5, 0.1, 3.0, 1e-3]), label="q")
+    coordinate = (st.sampled_from([0.0, -0.0, 1e15, -1e15, 1e15 + 0.125, -(2.0**50) - 0.5])
+                  | st.floats(-1e15, 1e15, allow_nan=False))
+    origin = draw(st.tuples(coordinate, coordinate, coordinate), label="origin")
+    base = depth - n
+    if system == CARTESIAN:
+        steps = QuantSteps(CARTESIAN, q, 0.0, 0.0, 1 << base, base, 0.0, origin)
+    else:
+        bins = draw(st.integers(2, 1 << base), label="bins")
+        steps = lattice_steps(system, q, bins * q, base, origin)
+    top = 8**depth - 1
+    code = st.sampled_from([0, top]) | st.integers(0, top)
+    return np.array(draw(st.lists(code, min_size=1, max_size=40), label="codes"), dtype=np.int64), part_steps(steps, n)
+
+
+def _points_bits(codes, steps) -> tuple:
+    points = kernel.leaf_points(codes, steps)
+    return points.shape, points.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(part_leaves())
+def test_leaf_points_match_the_lattice_points_chain(case):
+    # the decoder's voxel centres, the kernel's de-interleave and index·step plus offset
+    # then numpy's trig, are the reference chain's bit for bit, ±0 included
+    codes, steps = case
+    reference = lattice_points(_deinterleave(codes, steps.depth), steps)
+    assert on_both_coders(_points_bits, codes, steps) == (reference.shape, reference.tobytes())
+
+
+def _round_trip_leaves(indices: np.ndarray, depth: int):
+    """The tree over ``indices``, which the kernel and the Python coder decode to ``leaf_indices``' codes, in its order."""
     steps = QuantSteps(CARTESIAN, 1.0, 0.0, 0.0, 1 << depth, depth, 0.0)
     qc = QuantizedCloud(np.unique(indices, axis=0), steps, len(indices))
     tree = build(qc)
     count, payload = on_both_coders(kernel.encode_part, _sorted_codes(qc), depth)
     assert count == tree.node_count
     assert on_both_coders(kernel.decode_part, payload, depth, count) == _leaf_codes(tree)
+    return tree
+
+
+def test_deep_levels_share_capped_contexts():
+    # levels past AdaptiveContextModel.LEVEL_CAP (16) share their contexts;
+    # the hypothesis cases above reach part depth 17 at most
+    _round_trip_leaves(np.random.default_rng(21).integers(0, 1 << 19, size=(40, 3)), 19)
 
 
 def test_both_coders_halve_counts_alike():
@@ -238,14 +279,24 @@ def test_both_coders_halve_counts_alike():
     a, b, c = np.meshgrid(np.arange(16), np.arange(32), np.arange(32), indexing="ij")
     depth = 20
     indices = np.stack([a.ravel(), b.ravel(), c.ravel()], axis=1) << (depth - 5) | ((1 << (depth - 5)) - 1)
-    steps = QuantSteps(CARTESIAN, 1.0, 0.0, 0.0, 1 << depth, depth, 0.0)
-    qc = QuantizedCloud(indices, steps, len(indices))
-    tree = build(qc)
     if kernel.load() is None:
         pytest.skip("compiled kernel not in use")
-    count, payload = on_both_coders(kernel.encode_part, _sorted_codes(qc), depth)
-    assert count == tree.node_count
-    assert on_both_coders(kernel.decode_part, payload, depth, count) == _leaf_codes(tree)
+    _round_trip_leaves(indices, depth)
+
+
+def test_full_octree_expands_every_bit():
+    # every symbol of a full depth-3 octree is 0xFF: 1 + 8 + 64 nodes, 512 leaves
+    indices = np.stack(np.meshgrid(*[np.arange(8)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    tree = _round_trip_leaves(indices, 3)
+    assert tree.node_count == 73 and (tree.all_symbols() == 0xFF).all()
+
+
+def test_single_child_chains_through_every_octant():
+    # the 8 corners of a depth-20 cube: a full root, then 8 chains of one child, each in one octant all the way down
+    depth = 20
+    corners = np.array([[o >> 2 & 1, o >> 1 & 1, o & 1] for o in range(8)]) * ((1 << depth) - 1)
+    tree = _round_trip_leaves(corners, depth)
+    assert [len(level.symbols) for level in tree.levels] == [1] + [8] * (depth - 1)
 
 
 @settings(max_examples=200, deadline=None)
