@@ -7,6 +7,8 @@ Container layout (all little-endian, see FORMAT.md):
     per part: symbol_count u64 | empty u8 | payload_len u64 | payload
     original_count u64
 
+The encoder and ``pipeline_reconstruct`` share one front end, which measures
+the cloud once and derives q, the lattice and each point's part from its values.
 Every part is an independent octree stream with a fresh adaptive model, so
 parts decode in isolation, and one call codes its parts on two threads: its
 own and a helper that it starts and joins, so no thread outlives the call.
@@ -20,7 +22,6 @@ decoding is deterministic with no side state.
 
 from __future__ import annotations
 
-import functools
 import math
 import struct
 import sys
@@ -35,7 +36,8 @@ from .coords import (
     SPHERICAL,
     SYSTEMS,
     QuantSteps,
-    derive_steps,
+    angle_steps,
+    box_steps,
     lattice_steps,
     radial_coord,
     reconstruct_points,
@@ -74,10 +76,10 @@ class CodecConfig:
     ``kitti`` and ``ford``, q or depth for ``raw``; a given q and rho_max
     finite and positive, for every system; one part for cartesian, which is
     also its default layout (the angle systems' is ``MultiLevelConfig()``). What
-    depends on the cloud is refused later: a span the step cannot be measured
-    from by :func:`resolve_step`, a lattice the header cannot hold by
-    ``derive_steps`` and the encoder's header check. ``derive_steps`` checks
-    q and rho_max again, as it is also called without a config.
+    depends on the cloud is refused later, by the encoder's front end from its
+    one measurement of the cloud: a span no step can be derived from
+    (:func:`_step`), a lattice the header cannot hold (``coords.box_steps``,
+    ``coords.angle_steps`` and the header check) and a radius past the split.
     """
 
     system: str = SPHERICAL
@@ -124,38 +126,43 @@ def convention_step(convention: str, depth: int) -> float:
     raise ConfigError(f"convention '{convention}' does not define a step from depth alone")
 
 
-def resolve_step(cfg: CodecConfig, cloud: PointCloud, box=kernel.bounding_box) -> tuple[float, float | None]:
+def resolve_step(cfg: CodecConfig, cloud: PointCloud) -> tuple[float, float | None]:
     """Return (q, rho_max) honoring the convention; rho_max None means measured.
 
-    :class:`CodecConfig` has refused every bad field and combination when it
-    was built, so this refuses only a step it cannot derive: ``raw`` with a
-    depth and no q spreads the cloud's extent, or in the angle systems its
-    rho_max, over 2^D − 1 steps. That fails for a single-voxel Cartesian
-    cloud and for an angle-system cloud with every point at the origin and no
-    given rho_max. A step that is not finite and positive, in any convention
-    (a span so small, or a depth so large, that it underflows to 0), is
-    refused by the name of the depth. ``box`` measures a Cartesian extent, as
-    ``derive_steps``' does.
+    Only ``raw`` with a depth measures the cloud for the encoder's :func:`_step`:
+    its extent, or an angle system's rho_max unless given; an empty one is refused.
     """
-    rho_max = cfg.rho_max
+    span = cfg.rho_max
+    if cfg.q is None and cfg.convention == "raw":
+        if len(cloud) == 0:
+            raise ConfigError("cannot quantize an empty cloud")
+        if cfg.system == CARTESIAN:
+            lo, hi = kernel.bounding_box(cloud.points)
+            span = float((hi - lo).max())
+        elif span is None:
+            span = float(radial_coord(cloud.points, cfg.system).max())
+    return _step(cfg, span), cfg.rho_max
+
+
+def _step(cfg: CodecConfig, span: float | None) -> float:
+    """The given q, the convention's step, or for ``raw`` with a depth ``span`` over 2^D − 1 steps.
+
+    ``span`` is the cloud's largest extent, or an angle system's rho_max. A zero
+    span is refused, and a step that is not finite and positive (a span so
+    small, or a depth so large, that it underflows to 0) by the depth's name.
+    """
     if cfg.q is not None:
-        return float(cfg.q), rho_max
-    if cfg.convention in ("kitti", "ford"):
+        return float(cfg.q)
+    if cfg.convention != "raw":
         step = convention_step(cfg.convention, cfg.depth)
-    elif cfg.system == CARTESIAN:  # raw + depth: span the measured coordinate range with 2^D − 1 steps
-        lo, hi = box(cloud.points)
-        extent = float((hi - lo).max())
-        if extent <= 0:
-            raise ConfigError("cannot derive a step for a degenerate (single-voxel) cloud")
-        step = extent / _depth_steps(cfg.depth)
+    elif span <= 0:
+        raise ConfigError("cannot derive a step for a degenerate (single-voxel) cloud" if cfg.system == CARTESIAN
+                          else "cannot derive a step: all points at the origin")
     else:
-        rm = rho_max if rho_max is not None else float(radial_coord(cloud.points, cfg.system).max())
-        if rm <= 0:
-            raise ConfigError("cannot derive a step: all points at the origin")
-        step = rm / _depth_steps(cfg.depth)
+        step = span / _depth_steps(cfg.depth)
     if not 0 < step < math.inf:
         raise ConfigError(f"depth={cfg.depth} gives a step of {step}, which is not finite and positive")
-    return step, rho_max
+    return step
 
 
 def _header_fault(system: str, depth: int, q: float, rho_max: float, origin, thresholds) -> str | None:
@@ -298,18 +305,30 @@ class Container:
         )
 
 
-def _header_lattice(cloud: PointCloud, cfg: CodecConfig, box=kernel.bounding_box) -> tuple[QuantSteps, tuple]:
-    """The base steps and thresholds the header will carry, a Cartesian extent measured by ``box``; refused unless they decode."""
+def _header_lattice(cloud: PointCloud, cfg: CodecConfig, submit=None) -> tuple[QuantSteps, tuple, np.ndarray | None]:
+    """The header's base steps and thresholds, refused unless they decode, and each point's part (None for one).
+
+    It measures the cloud once: Cartesian, its box (in two halves given
+    ``submit``); an angle system, its radii, only for rho_max or several parts.
+    The step, lattice and split follow from those values.
+    """
     if len(cloud) == 0:
         raise ConfigError("cannot quantize an empty cloud")
-    q, rho_override = resolve_step(cfg, cloud, box)
-    steps = derive_steps(cfg.system, q, cloud, rho_override, box=box)
+    radii = None
+    if cfg.system == CARTESIAN:
+        lo, hi = _bounding_box(cloud.points, submit)
+        steps = box_steps(_step(cfg, float((hi - lo).max())), lo, hi)
+    else:
+        if cfg.rho_max is None or cfg.parts.n_parts > 1:
+            radii = radial_coord(cloud.points, cfg.system)
+        rho_max = float(radii.max()) if cfg.rho_max is None else cfg.rho_max
+        steps = angle_steps(cfg.system, _step(cfg, rho_max), rho_max, cloud.points)
     thresholds = cfg.parts.thresholds[: cfg.parts.n_parts]
     fault = _header_fault(cfg.system, steps.depth, steps.q_primary, steps.rho_max, steps.origin_offset,
                           np.asarray(thresholds, dtype=np.float32).tolist())  # as the header stores them
     if fault:
         raise ConfigError(f"configuration gives an undecodable header: {fault}")
-    return steps, thresholds
+    return steps, thresholds, part_assignment(radii, cfg.parts, steps.rho_max) if cfg.parts.n_parts > 1 else None
 
 
 def _code_parts(work, sizes, submit=None) -> list:
@@ -390,17 +409,15 @@ def encode_cloud(cloud: PointCloud, cfg: CodecConfig) -> Container:
     with helper_thread() as submit:
         if kernel.coder_name() == "python":  # loads the kernel here, before the helper starts
             submit = None
-        # only a Cartesian header measures the box, and a Cartesian cloud is a lone part
-        steps, thresholds = _header_lattice(cloud, cfg, functools.partial(_bounding_box, submit=submit))
-        part = part_assignment(cloud.points, cfg.parts, steps.rho_max, cfg.system)
-        sizes = np.bincount(part, minlength=cfg.parts.n_parts).tolist() if cfg.parts.n_parts > 1 else [len(cloud)]
+        steps, thresholds, part = _header_lattice(cloud, cfg, submit)
+        sizes = [len(cloud)] if part is None else np.bincount(part, minlength=cfg.parts.n_parts).tolist()
         rows = submit if sum(size > 0 for size in sizes) == 1 else None  # a lone busy part: its rows on two threads
 
         def code(n: int) -> PartRecord:
             if not sizes[n]:
                 return PartRecord(0, True, b"")
             st = part_steps(steps, n)
-            leaves = _part_leaves(cloud.points if len(sizes) == 1 else cloud.points[part == n], st, rows)
+            leaves = _part_leaves(cloud.points if part is None else cloud.points[part == n], st, rows)
             count, payload = kernel.encode_part(leaves, st.depth)
             return PartRecord(count, False, payload)
 
@@ -457,13 +474,12 @@ def pipeline_reconstruct(cloud: PointCloud, cfg: CodecConfig) -> tuple[np.ndarra
 
     Returns (reconstructed points, part index per point, base steps). This is
     the pairing the closed-form error bounds are stated over; the container
-    path loses it by merging duplicate voxels. It builds and checks the lattice
-    and assigns parts as :func:`encode_cloud` does, so it refuses the same input.
+    path loses it by merging duplicate voxels. It shares :func:`encode_cloud`'s
+    front end (:func:`_header_lattice`), so it refuses the same input.
     """
-    steps, _ = _header_lattice(cloud, cfg)
-    part_idx = part_assignment(cloud.points, cfg.parts, steps.rho_max, cfg.system)
-    if cfg.parts.n_parts == 1:
-        return reconstruct_points(cloud.points, steps), part_idx, steps
+    steps, _, part_idx = _header_lattice(cloud, cfg)
+    if part_idx is None:
+        return reconstruct_points(cloud.points, steps), np.zeros(len(cloud), dtype=np.int64), steps
     recon = np.empty_like(cloud.points)
     for n in range(cfg.parts.n_parts):
         mask = part_idx == n

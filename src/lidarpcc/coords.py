@@ -157,16 +157,12 @@ def bounding_box(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.array([extreme(reduce, col) for col in points.T]) for reduce in (np.min, np.max))
 
 
-def derive_steps(
-    system: str, q: float, cloud: PointCloud, rho_max: float | None = None, box=bounding_box
-) -> QuantSteps:
+def derive_steps(system: str, q: float, cloud: PointCloud, rho_max: float | None = None) -> QuantSteps:
     """Measure a cloud's header fields and return their :func:`lattice_steps`.
 
-    ``rho_max`` defaults to the measured maximum radius in the chosen system
-    (ignored for Cartesian, where the bounding box rules; ``box`` measures it,
-    :func:`bounding_box` or a function with its bits, as the codec's
-    ``kernel.bounding_box``). The octree depth is the bit length of the largest
-    index on any axis, at least 1.
+    Cartesian measures the :func:`bounding_box` for :func:`box_steps`, the
+    angle systems ``rho_max`` unless given, the largest radius in the system,
+    for :func:`angle_steps`: the rules the codec passes its own measurement.
     """
     if system not in SYSTEMS:
         raise ConfigError(f"unknown coordinate system '{system}'")
@@ -174,26 +170,29 @@ def derive_steps(
         raise ConfigError(f"quantization step must be positive, got {q}")
     if len(cloud) == 0:
         raise ConfigError("cannot derive steps from an empty cloud")
-    pts = cloud.points
-
     if system == CARTESIAN:
-        origin, top_corner = box(pts)
-        with np.errstate(over="ignore"):  # a q too small for the extent is refused below, by name
-            top = np.round((top_corner - origin) / q).max()
-        return lattice_steps(system, q, 0.0, _index_depth(q, top), origin)
-
+        return box_steps(q, *bounding_box(cloud.points))
     if rho_max is None:
-        rho_max = float(radial_coord(pts, system).max())
+        rho_max = float(radial_coord(cloud.points, system).max())
+    return angle_steps(system, q, rho_max, cloud.points)
+
+
+def box_steps(q: float, lo: np.ndarray, hi: np.ndarray) -> QuantSteps:
+    """The Cartesian lattice of the box ``lo``..``hi``: origin ``lo``, depth the bit length of the largest index."""
+    with np.errstate(over="ignore"):  # a q too small for the extent is refused by _index_depth, by name
+        top = np.round((hi - lo) / q).max()
+    return lattice_steps(CARTESIAN, q, 0.0, _index_depth(q, top), lo)
+
+
+def angle_steps(system: str, q: float, rho_max: float, points: np.ndarray) -> QuantSteps:
+    """The angle system's lattice within ``rho_max``; a cylinder's z spans its points from the lowest."""
     if not math.isfinite(rho_max):
         raise ConfigError(f"rho_max must be finite, got {rho_max}")
-    # the largest radial index is round(ρ_max/q); an angle index is at most bins − 1
-    top = np.round(rho_max / q)
-    origin = (0.0, 0.0, 0.0)
+    top, z_min = np.round(rho_max / q), 0.0  # the largest radial index; an angle index is at most bins − 1
     if system == CYLINDRICAL:
-        z_min = float(pts[:, 2].min())
-        top = max(top, np.round((pts[:, 2].max() - z_min) / q))
-        origin = (0.0, 0.0, z_min)
-    return lattice_steps(system, q, rho_max, _index_depth(q, top), origin)
+        z_min = float(points[:, 2].min())
+        top = max(top, np.round((points[:, 2].max() - z_min) / q))
+    return lattice_steps(system, q, rho_max, _index_depth(q, top), (0.0, 0.0, z_min))
 
 
 def _index_depth(q: float, top: float) -> int:
@@ -231,9 +230,9 @@ def untransform_points(coords: np.ndarray, steps: QuantSteps) -> np.ndarray:
     return cyl_to_cart(shifted) if steps.system == CYLINDRICAL else shifted
 
 
-def radius_past_lattice(steps: QuantSteps, radii: np.ndarray) -> ConfigError:
-    """The refusal of an angle-system radius whose index lies past the 2^D lattice."""
-    return ConfigError(f"rho_max={steps.rho_max} smaller than cloud max radius {radii.max():.6g}")
+def radius_past_lattice(rho_max: float, radii: np.ndarray) -> ConfigError:
+    """The refusal of a radius past ``rho_max``: past the radial split, or its index past the 2^D lattice."""
+    return ConfigError(f"rho_max={rho_max} smaller than cloud max radius {radii.max(initial=0.0):.6g}")
 
 
 def _lattice_indices(points: np.ndarray, steps: QuantSteps) -> np.ndarray:
@@ -251,7 +250,7 @@ def _lattice_indices(points: np.ndarray, steps: QuantSteps) -> np.ndarray:
         ratio = column / step
         np.round(ratio, out=ratio)
         if k == 0 and steps.system != CARTESIAN and ratio.max(initial=0) > hi:
-            raise radius_past_lattice(steps, columns[0])
+            raise radius_past_lattice(steps.rho_max, columns[0])
         idx[:, k] = np.clip(ratio, 0, hi, out=ratio)
     return idx
 

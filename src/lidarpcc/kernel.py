@@ -4,7 +4,7 @@ Per part the codec calls :func:`lattice_codes` (points to leaf Morton codes),
 sorts and deduplicates the codes, then calls :func:`encode_part` (leaf codes
 to symbol count and payload), or on decode :func:`decode_part` (payload to
 leaf codes) and :func:`leaf_points` (leaf codes to voxel centres);
-:func:`bounding_box` measures the Cartesian origin. A lone part
+:func:`bounding_box` measures the Cartesian box, once per encode. A lone part
 is coded in two halves of its rows on two threads: :func:`lattice_rows` fills
 its codes range by range. This module alone chooses the implementation.
 :func:`load` compiles the C source with the system ``cc`` into a per-user
@@ -215,7 +215,7 @@ def lattice_rows(points: np.ndarray, steps: coords.QuantSteps):
                                  _ptr(offset, _f64p), _ptr(step, _f64p), steps.depth,
                                  steps.system != coords.CARTESIAN, _ptr(codes[start:], _i64p))
         if done == _RADIUS:
-            raise coords.radius_past_lattice(steps, columns[0])
+            raise coords.radius_past_lattice(steps.rho_max, columns[0])
         if done != stop - start:
             raise RuntimeError(f"part kernel failed with code {done}")
 

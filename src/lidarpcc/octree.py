@@ -19,7 +19,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .coords import QuantizedCloud, QuantSteps, radial_coord, SPHERICAL
+from .coords import QuantizedCloud, QuantSteps, radial_coord, radius_past_lattice, SPHERICAL
 from .errors import ConfigError, CorruptStreamError
 from .pcio import PointCloud
 
@@ -240,10 +240,10 @@ class MultiLevelConfig:
 def partition_multilevel(
     cloud: PointCloud, cfg: MultiLevelConfig, rho_max: float, system: str = SPHERICAL
 ) -> list[PointCloud]:
-    """Split a cloud into the parts of :func:`part_assignment`; one part is the cloud itself."""
+    """Split a cloud into the parts of :func:`part_assignment` of its ``system`` radii; one part is the cloud itself."""
     if cfg.n_parts == 1:
         return [cloud]
-    part = part_assignment(cloud.points, cfg, rho_max, system)
+    part = part_assignment(radial_coord(cloud.points, system), cfg, rho_max)
     out = []
     for n in range(cfg.n_parts):
         mask = part == n
@@ -252,18 +252,15 @@ def partition_multilevel(
     return out
 
 
-def part_assignment(points: np.ndarray, cfg: MultiLevelConfig, rho_max: float,
-                    system: str = SPHERICAL) -> np.ndarray:
-    """Part index per point: half-open radial bands, the last closed at ρ_max.
+def part_assignment(radii: np.ndarray, cfg: MultiLevelConfig, rho_max: float) -> np.ndarray:
+    """Part index per radius: half-open radial bands, the last closed at ρ_max.
 
-    One part takes every point without radii; several reject a cloud beyond ``rho_max``.
+    One part takes every radius; several refuse one beyond ``rho_max``.
     """
     if cfg.n_parts == 1:
-        return np.zeros(len(points), dtype=np.int64)
-    radii = radial_coord(points, system)
-    radius = radii.max(initial=0.0)
-    if radius > rho_max:
-        raise ConfigError(f"rho_max={rho_max} smaller than cloud max radius {radius:.6g}")
+        return np.zeros(len(radii), dtype=np.int64)
+    if radii.max(initial=0.0) > rho_max:
+        raise radius_past_lattice(rho_max, radii)
     edges = np.asarray(cfg.thresholds) * rho_max
     return np.clip(np.searchsorted(edges, radii, side="right") - 1, 0, cfg.n_parts - 1)
 

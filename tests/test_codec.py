@@ -203,6 +203,57 @@ def test_resolve_step_rules():
         resolve_step(CodecConfig(depth=2, rho_max=5e-324), cloud)
 
 
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_an_empty_cloud_is_refused_by_name(system):
+    # raw + depth measures the cloud for its step: resolve_step refuses it as the encoder does
+    empty = PointCloud(np.empty((0, 3)))
+    for cfg in (CodecConfig(system=system, depth=10), CodecConfig(system=system, q=0.5)):
+        for call in (encode_cloud, pipeline_reconstruct):
+            with pytest.raises(ConfigError, match="^cannot quantize an empty cloud$"):
+                call(empty, cfg)
+    with pytest.raises(ConfigError, match="^cannot quantize an empty cloud$"):
+        resolve_step(CodecConfig(system=system, depth=10), empty)
+
+
+class _Measured(Exception):
+    """Stops an encode once its front end has measured the cloud, before any part is quantized."""
+
+
+def _front_end_measures(cloud, cfg) -> tuple[int, int]:
+    """How many whole-cloud radius arrays, and how many rows of bounding boxes, an encode measures before its parts."""
+    radii, rows = [], []
+    radial_coord, bounding_box = codec.radial_coord, kernel.bounding_box
+
+    def radius(points, system):
+        radii.append(len(points))
+        return radial_coord(points, system)
+
+    def box(points):
+        rows.append(len(points))
+        return bounding_box(points)
+
+    def stop(*args):
+        raise _Measured
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in ("coords", "codec", "octree"):
+            mp.setattr(f"lidarpcc.{module}.radial_coord", radius)
+        mp.setattr(kernel, "bounding_box", box)
+        mp.setattr(codec, "_part_leaves", stop)
+        with pytest.raises(_Measured):
+            encode_cloud(cloud, cfg)
+    return radii.count(len(cloud)), sum(rows)
+
+
+def test_the_encoder_measures_the_cloud_once():
+    # one radius array feeds rho_max and the split; the box, the step and the origin
+    cloud = _cloud(n=3000)
+    assert _front_end_measures(cloud, CodecConfig(system=SPHERICAL, q=0.5)) == (1, 0)
+    assert _front_end_measures(cloud, CodecConfig(system=CYLINDRICAL, depth=12, convention="kitti")) == (1, 0)
+    assert _front_end_measures(cloud, CodecConfig(system=CARTESIAN, depth=10)) == (0, len(cloud))
+    assert _front_end_measures(cloud, CodecConfig(system=SPHERICAL, q=0.5, rho_max=90.0, parts=ONE_PART)) == (0, 0)
+
+
 def test_depth_below_one_is_refused():
     # depth 0 would divide by zero in the kitti and raw steps, and -1 shift by a negative count
     for convention in CONVENTIONS:

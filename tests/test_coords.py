@@ -19,6 +19,7 @@ from lidarpcc.coords import (
     QuantizedCloud,
     QuantSteps,
     bounding_box,
+    box_steps,
     cart_to_cyl,
     cart_to_sph,
     cyl_to_cart,
@@ -153,12 +154,16 @@ def test_bounding_box_keeps_the_signs_of_zero_of_the_axis_reductions():
         for n in (1, 2, 5, 64, 3000):
             for _ in range(40):
                 pts = rng.choice([0.0, -0.0, 1.0, 2.0], size=(n, 3)) * rng.choice([1.0, -1.0])
+                least = pts.min(axis=0).tobytes()
                 for box in boxes:
                     lo, hi = box(pts)
-                    assert lo.tobytes() == pts.min(axis=0).tobytes()
+                    assert lo.tobytes() == least
                     assert hi.tobytes() == pts.max(axis=0).tobytes()
-                    origin = derive_steps(CARTESIAN, 0.5, PointCloud(pts), box=box).origin_offset
-                    assert np.array(origin).tobytes() == pts.min(axis=0).tobytes()
+                    assert np.array(box_steps(0.5, lo, hi).origin_offset).tobytes() == least
+                # the header origin of the public rule and of the encoder's front end
+                cloud, cfg = PointCloud(pts), codec.CodecConfig(system=CARTESIAN, q=0.5)
+                for steps in (derive_steps(CARTESIAN, 0.5, cloud), codec.encode_cloud(cloud, cfg)):
+                    assert np.array(steps.origin_offset).tobytes() == least
 
 
 def test_cylindrical_depth_covers_z():

@@ -11,7 +11,10 @@ kernel too: it must write the same payload bytes, decode the same leaf codes,
 and reject the same corrupt inputs with the same messages, word for word. The
 encoder's leaf codes, from ``kernel.lattice_codes`` on either side, are held
 to ``quantize``'s numpy chain the same way, and the decoder's voxel centres,
-from ``kernel.leaf_points``, to ``coords.lattice_points`` bit for bit.
+from ``kernel.leaf_points``, to ``coords.lattice_points`` bit for bit. The
+encoder's front end, which ``pipeline_reconstruct`` shares, is held to the
+public ``resolve_step``, ``derive_steps`` and ``part_assignment``: the same
+header fields and parts, or the same refusal.
 """
 
 import functools
@@ -31,6 +34,7 @@ from lidarpcc.codec import (
     _part_leaves,
     decode_cloud,
     encode_cloud,
+    pipeline_reconstruct,
     resolve_step,
 )
 from lidarpcc.coords import (
@@ -55,6 +59,7 @@ from lidarpcc.octree import (
     build,
     leaf_indices,
     occupancy_stream,
+    part_assignment,
     part_steps,
     partition_multilevel,
 )
@@ -186,6 +191,100 @@ def test_lattice_codes_match_the_quantize_chain(case):
     assert outcome == _outcome(_or_refusal, lambda: _sorted_codes(quantize(PointCloud(points), steps)))
     if isinstance(outcome, str):
         assert outcome.startswith(f"ConfigError: rho_max={steps.rho_max} smaller than cloud max radius ")
+
+
+@st.composite
+def front_end_cases(draw):
+    """A config and a cloud with points exactly on each part edge t_n·ρ_max and ±0 coordinates, or one refused."""
+    system = draw(st.sampled_from(SYSTEMS), label="system")
+    parts = ONE_PART if system == CARTESIAN else draw(st.sampled_from([ONE_PART, MultiLevelConfig()]), label="parts")
+    radius = draw(st.sampled_from([1.0, 30.0, 123.456]), label="radius")
+    step = draw(st.sampled_from(["raw + depth", "raw + q", "kitti"]), label="step")
+    convention, depth, q = ("kitti", 12, None) if step == "kitti" else ("raw", 10, None)
+    if step == "raw + q":
+        depth, q = None, radius / draw(st.sampled_from([3.0, 100.0, 2000.0]), label="bins")
+    share = draw(st.sampled_from([None, 0.5, 1.0, 1.5]), label="rho_max")  # measured, or given as a share of the radius
+    rho_max = None if share is None else share * radius
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    rows = [rng.uniform(-radius / 2, radius / 2, size=3) for _ in range(draw(st.integers(0, 20), label="n"))]
+    # the cloud's radius, then each edge t_n·ρ_max, on the x or y axis with ±0 off it
+    for r in (radius, *(t * (rho_max or radius) for t in MultiLevelConfig().thresholds[1:])):
+        row = rng.choice([0.0, -0.0], size=3)
+        row[draw(st.integers(0, 1), label="axis")] = r * draw(st.sampled_from([1.0, -1.0]), label="sign")
+        rows.insert(draw(st.integers(0, len(rows)), label="at"), row)
+    pts = np.array(rows)
+    shape = draw(st.sampled_from(["spread", "spread", "one voxel", "origin", "overflow"]), label="shape")
+    if shape == "one voxel":  # refused under raw + depth as a degenerate Cartesian cloud
+        pts = np.repeat(pts[:1], len(pts), axis=0)
+    elif shape == "origin":  # refused by the angle systems without a given rho_max
+        pts = rng.choice([0.0, -0.0], size=pts.shape)
+    elif shape == "overflow":  # a radius, and a Cartesian extent, that overflows to inf
+        pts[rng.choice(len(pts), 2, replace=False)] = [[1.7e308, 1.7e308, 0.0], [-1.7e308, -1.7e308, -0.0]]
+    cfg = CodecConfig(system=system, depth=depth, q=q, convention=convention, parts=parts, rho_max=rho_max)
+    return PointCloud(pts), cfg
+
+
+def _header(depth: int, q: float, rho_max: float, origin) -> bytes:
+    """The header fields a cloud's lattice fixes, packed as the container packs them."""
+    return struct.pack("<Bdd3d", depth, q, rho_max, *origin)
+
+
+def _encoded_header(cloud, cfg) -> bytes:
+    container = encode_cloud(cloud, cfg)
+    return _header(container.depth, container.q, container.rho_max, container.origin_offset)
+
+
+def _reconstructed(cloud, cfg) -> tuple:
+    recon, part, steps = pipeline_reconstruct(cloud, cfg)
+    return recon.tobytes(), _header(steps.depth, steps.q_primary, steps.rho_max, steps.origin_offset), part.tolist()
+
+
+def _public_chain(cloud, cfg) -> tuple:
+    """The header and parts by the public rules: resolve_step, derive_steps, part_assignment, each part's quantize."""
+    q, rho_max = resolve_step(cfg, cloud)
+    steps = derive_steps(cfg.system, q, cloud, rho_max)
+    part = part_assignment(radial_coord(cloud.points, cfg.system), cfg.parts, steps.rho_max)
+    for n in range(cfg.parts.n_parts):
+        quantize(PointCloud(cloud.points[part == n]), part_steps(steps, n))  # refuses a radius past the lattice
+    return _header(steps.depth, steps.q_primary, steps.rho_max, steps.origin_offset), part.tolist()
+
+
+def _front_end_outcome(cloud, cfg):
+    """The public chain's header and parts, or refusal, which ``encode_cloud`` and ``pipeline_reconstruct`` share."""
+    with np.errstate(over="ignore"):
+        expected = _or_refusal(_public_chain, cloud, cfg)
+        encoded = on_both_coders(_or_refusal, _encoded_header, cloud, cfg)
+        reconstructed = on_both_coders(_or_refusal, _reconstructed, cloud, cfg)
+    if isinstance(expected, str):
+        assert encoded == reconstructed == expected
+    else:
+        assert encoded == expected[0]
+        assert reconstructed[1:] == expected
+    return expected
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(front_end_cases())
+def test_encoder_and_pipeline_follow_the_public_lattice_rules(case):
+    # the header fields bit for bit (±0 origins included), the part of every point on
+    # an edge, and the first refusal word for word, whichever way the cloud is coded
+    _front_end_outcome(*case)
+
+
+def test_front_end_cases_reach_every_refusal():
+    spread = np.array([[30.0, -0.0, 0.0], [-0.0, 7.5, 0.0], [1.0, 2.0, 3.0]])
+    far = np.array([[1.7e308, 1.7e308, 0.0], [-1.7e308, -1.7e308, -0.0]])
+    origin = np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]])
+    cases = [  # the radial split's refusal and the lattice's, one text
+        ("rho_max=15.0 smaller than cloud max radius 30", spread, dict(q=0.5, rho_max=15.0)),
+        ("rho_max=15.0 smaller than cloud max radius 30", spread, dict(q=0.5, rho_max=15.0, parts=ONE_PART)),
+        ("cannot derive a step for a degenerate (single-voxel) cloud", spread[[2, 2]], dict(system=CARTESIAN, depth=9)),
+        ("cannot derive a step: all points at the origin", origin, dict(depth=10)),
+        ("rho_max must be finite, got inf", far, dict(system=CYLINDRICAL, q=0.5)),
+        ("depth=10 gives a step of inf, which is not finite and positive", far, dict(depth=10)),
+    ]
+    for message, pts, fields in cases:
+        assert _front_end_outcome(PointCloud(pts), CodecConfig(**fields)) == f"ConfigError: {message}"
 
 
 @st.composite

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lidarpcc.codec import CodecConfig, pipeline_reconstruct
 from lidarpcc.coords import (
     CARTESIAN,
     CYLINDRICAL,
     SPHERICAL,
     QuantizedCloud,
     QuantSteps,
-    derive_steps,
     radial_coord,
     transform_points,
 )
@@ -255,7 +255,7 @@ def test_partition_bands_are_half_open():
     radii = np.array([0.0, 24.999, 25.0, 49.999, 50.0, 99.0, 100.0])
     pts = np.zeros((len(radii), 3))
     pts[:, 0] = radii
-    assignment = part_assignment(pts, cfg, rho_max, SPHERICAL)
+    assignment = part_assignment(radial_coord(pts, SPHERICAL), cfg, rho_max)
     np.testing.assert_array_equal(assignment, [0, 0, 1, 1, 2, 2, 2])
 
 
@@ -267,7 +267,7 @@ def test_partition_splits_and_preserves_attr():
     rho_max = float(np.linalg.norm(pts, axis=1).max())
     parts = partition_multilevel(cloud, cfg, rho_max)
     assert sum(len(p) for p in parts) == 300
-    assignment = part_assignment(pts, cfg, rho_max, SPHERICAL)
+    assignment = part_assignment(radial_coord(pts, SPHERICAL), cfg, rho_max)
     for n, part in enumerate(parts):
         np.testing.assert_array_equal(part.points, pts[assignment == n])
         np.testing.assert_array_equal(part.attr, np.flatnonzero(assignment == n))
@@ -278,7 +278,7 @@ def test_partition_rejects_too_small_rho_max():
     with pytest.raises(ConfigError, match="rho_max"):
         partition_multilevel(cloud, MultiLevelConfig(), 5.0)
     with pytest.raises(ConfigError, match="smaller than cloud max radius"):
-        part_assignment(cloud.points, MultiLevelConfig(), 5.0, SPHERICAL)
+        part_assignment(radial_coord(cloud.points, SPHERICAL), MultiLevelConfig(), 5.0)
 
 
 def test_one_part_holds_every_point_without_radii(monkeypatch):
@@ -286,20 +286,25 @@ def test_one_part_holds_every_point_without_radii(monkeypatch):
         raise AssertionError("one part needs no radii")
 
     monkeypatch.setattr("lidarpcc.octree.radial_coord", no_radii)
+    monkeypatch.setattr("lidarpcc.codec.radial_coord", no_radii)
     cloud = PointCloud(np.array([[10.0, 0.0, 0.0], [0.0, 3.0, 0.0]]))
     one = MultiLevelConfig(1, (0.0, 1.0))
-    assignment = part_assignment(cloud.points, one, 5.0, SPHERICAL)
+    assignment = part_assignment(np.array([10.0, 3.0]), one, 5.0)  # one part refuses no radius
     assert assignment.dtype == np.int64
     np.testing.assert_array_equal(assignment, [0, 0])
     assert partition_multilevel(cloud, one, 5.0)[0] is cloud
+    # nor does the encoder's front end measure radii for one part with a given rho_max
+    part_idx = pipeline_reconstruct(cloud, CodecConfig(system=SPHERICAL, q=0.5, rho_max=12.0, parts=one))[1]
+    assert part_idx.dtype == np.int64
+    np.testing.assert_array_equal(part_idx, [0, 0])
 
 
 def test_partition_radius_follows_system():
     # point at cylinder radius 1 but spherical radius ~10: lands in different bands
     pts = np.array([[1.0, 0.0, 10.0], [8.0, 0.0, 0.0]])
     cfg = MultiLevelConfig(3, (0.0, 0.25, 0.5, 1.0))
-    sph = part_assignment(pts, cfg, 10.5, SPHERICAL)
-    cyl = part_assignment(pts, cfg, 10.5, CYLINDRICAL)
+    sph = part_assignment(radial_coord(pts, SPHERICAL), cfg, 10.5)
+    cyl = part_assignment(radial_coord(pts, CYLINDRICAL), cfg, 10.5)
     np.testing.assert_array_equal(sph, [2, 2])
     np.testing.assert_array_equal(cyl, [0, 2])
 
@@ -309,18 +314,25 @@ def test_part_split_and_quantizer_read_the_same_radius(monkeypatch, system):
     # a point near a part threshold would change part if the two radii differed in the last bit
     rng = np.random.default_rng(3)
     pts = np.concatenate([rng.normal(size=(2000, 3)) * 10.0**e for e in range(-3, 7)])
-    split = []
+    measured, split = [], []
 
     def recorded(points, sys_):
-        split.append(radial_coord(points, sys_))
-        return split[-1]
+        measured.append(radial_coord(points, sys_))
+        return measured[-1]
 
-    monkeypatch.setattr("lidarpcc.octree.radial_coord", recorded)
-    steps = derive_steps(system, 1.0, PointCloud(pts))
-    part_assignment(pts, MultiLevelConfig(), steps.rho_max, system)
+    def splits(radii, *args):
+        split.append(radii)
+        return part_assignment(radii, *args)
+
+    monkeypatch.setattr("lidarpcc.codec.radial_coord", recorded)
+    monkeypatch.setattr("lidarpcc.codec.part_assignment", splits)
+    # the encoder's front end measures the radii once, for rho_max and the split alike
+    _, part_idx, steps = pipeline_reconstruct(PointCloud(pts), CodecConfig(system=system, q=1e3))
     quantizer = transform_points(pts, steps)[:, 0]
-    assert len(split) == 1
+    assert len(measured) == 1 and len(split) == 1 and split[0] is measured[0]
+    assert steps.rho_max == measured[0].max()
     np.testing.assert_array_equal(split[0].view(np.uint64), quantizer.view(np.uint64))
+    np.testing.assert_array_equal(part_idx, part_assignment(quantizer, MultiLevelConfig(), steps.rho_max))
 
 
 def test_part_steps_halve_everything():
