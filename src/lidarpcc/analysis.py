@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import CodecConfig, check_finite_positive, pipeline_reconstruct
+from .codec import CodecConfig, pipeline_reconstruct
 from .coords import CARTESIAN, SPHERICAL, radial_coord
-from .errors import ConfigError
+from .errors import ConfigError, check_finite_positive
 from .octree import MultiLevelConfig
 from .pcio import PointCloud, write_ply
 

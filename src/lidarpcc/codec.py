@@ -14,8 +14,9 @@ parts decode in isolation, and one call codes its parts on two threads: its
 own and a helper that it starts and joins, so no thread outlives the call.
 An encode whose points all fall in one part (every Cartesian one) leaves no
 part for the helper, so it cuts that part's rows in two halves instead: each
-thread measures its half's bounding box, then fills, sorts and deduplicates
-its half's leaf codes, and the two sorted runs are merged once.
+thread fills, sorts and deduplicates its half's leaf codes, and the two
+sorted runs are merged once. A Cartesian box is measured on two threads too,
+its minima on the calling thread and its maxima on a helper of its own.
 rho_max, q and the header depth fully determine the quantization lattice;
 decoding is deterministic with no side state.
 """
@@ -37,12 +38,14 @@ from .coords import (
     SYSTEMS,
     QuantSteps,
     angle_steps,
+    bounding_box,
     box_steps,
+    column_extremes,
     lattice_steps,
     radial_coord,
     reconstruct_points,
 )
-from .errors import ConfigError, CorruptStreamError, FormatError
+from .errors import ConfigError, CorruptStreamError, FormatError, check_finite_positive
 from .octree import (
     MAX_DEPTH,
     MultiLevelConfig,
@@ -50,7 +53,7 @@ from .octree import (
     part_steps,
 )
 from .pcio import PointCloud
-from .threads import helper_thread, on_two_threads
+from .threads import on_two_threads
 
 MAGIC = b"SCP1"
 VERSION = 1
@@ -59,12 +62,6 @@ CONVENTIONS = ("kitti", "ford", "raw")
 
 _SYSTEM_CODE = {CARTESIAN: 0, CYLINDRICAL: 1, SPHERICAL: 2}
 _SYSTEM_NAME = {v: k for k, v in _SYSTEM_CODE.items()}
-
-
-def check_finite_positive(name: str, value: float) -> None:
-    """Refuse a value that is not finite and positive, naming its field."""
-    if not 0 < value < math.inf:
-        raise ConfigError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -137,7 +134,7 @@ def resolve_step(cfg: CodecConfig, cloud: PointCloud) -> tuple[float, float | No
         if len(cloud) == 0:
             raise ConfigError("cannot quantize an empty cloud")
         if cfg.system == CARTESIAN:
-            lo, hi = kernel.bounding_box(cloud.points)
+            lo, hi = bounding_box(cloud.points)
             span = float((hi - lo).max())
         elif span is None:
             span = float(radial_coord(cloud.points, cfg.system).max())
@@ -305,18 +302,18 @@ class Container:
         )
 
 
-def _header_lattice(cloud: PointCloud, cfg: CodecConfig, submit=None) -> tuple[QuantSteps, tuple, np.ndarray | None]:
+def _header_lattice(cloud: PointCloud, cfg: CodecConfig) -> tuple[QuantSteps, tuple, np.ndarray | None]:
     """The header's base steps and thresholds, refused unless they decode, and each point's part (None for one).
 
-    It measures the cloud once: Cartesian, its box (in two halves given
-    ``submit``); an angle system, its radii, only for rho_max or several parts.
-    The step, lattice and split follow from those values.
+    It measures the cloud once: Cartesian, its box (:func:`_bounding_box`); an
+    angle system, its radii, only for rho_max or several parts. The step,
+    lattice and split follow from those values.
     """
     if len(cloud) == 0:
         raise ConfigError("cannot quantize an empty cloud")
     radii = None
     if cfg.system == CARTESIAN:
-        lo, hi = _bounding_box(cloud.points, submit)
+        lo, hi = _bounding_box(cloud.points)
         steps = box_steps(_step(cfg, float((hi - lo).max())), lo, hi)
     else:
         if cfg.rho_max is None or cfg.parts.n_parts > 1:
@@ -331,39 +328,32 @@ def _header_lattice(cloud: PointCloud, cfg: CodecConfig, submit=None) -> tuple[Q
     return steps, thresholds, part_assignment(radii, cfg.parts, steps.rho_max) if cfg.parts.n_parts > 1 else None
 
 
-def _code_parts(work, sizes, submit=None) -> list:
+def _two_threads() -> bool:
+    """Whether parts, or a lone part's rows, are coded on two threads: kernel calls release the GIL, the Python coder's do not."""
+    return kernel.coder_name() == "c"  # loads the kernel, so it is asked before any helper starts
+
+
+def _code_parts(work, sizes) -> list:
     """``[work(n) for n in range(len(sizes))]``, the parts of size > 0 coded on two threads.
 
     The calling thread codes the largest part while the helper thread of
-    :func:`threads.on_two_threads` (that of ``submit``'s block, if given)
-    codes the rest, largest first. Only kernel calls and numpy release the
-    GIL, so the parts run serially on the Python coder, and when at most one
-    part has work: the encoder then cuts a lone part's rows in two instead
+    :func:`threads.on_two_threads` codes the rest, largest first. The parts
+    run serially on the Python coder, and when at most one part has work:
+    the encoder then cuts a lone part's rows in two instead
     (:func:`_part_leaves`). Results and the error raised are those of the
     serial loop.
     """
     busy = sorted((n for n, size in enumerate(sizes) if size), key=lambda n: -sizes[n])
-    serial = len(busy) < 2 or kernel.coder_name() == "python"  # loads the kernel here, before the helper starts
-    return on_two_threads(work, len(sizes), () if serial else busy[1:], submit)
+    serial = len(busy) < 2 or not _two_threads()
+    return on_two_threads(work, len(sizes), () if serial else busy[1:])
 
 
-def _cuts(rows: int, submit) -> tuple:
-    """Where a part's rows are cut: in two halves, ``(0, rows // 2, rows)``, given a helper's ``submit`` and two rows."""
-    return (0, rows // 2, rows) if submit is not None and rows > 1 else (0, rows)
+def _bounding_box(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``coords.bounding_box(points)``, the minima reduced here and the maxima on a helper thread.
 
-
-def _bounding_box(points: np.ndarray, submit=None) -> tuple[np.ndarray, np.ndarray]:
-    """``kernel.bounding_box(points)``; given ``submit``, its halves measured on two threads and combined once.
-
-    The halves combine by the kernel's own rule: of equal extremes, such as
-    +0 and −0, the later one wins.
+    numpy releases the GIL, so this holds on either coder (README, *Speed*, has its measurement).
     """
-    cuts = _cuts(len(points), submit)
-    (lo, hi), *later = on_two_threads(lambda i: kernel.bounding_box(points[cuts[i] : cuts[i + 1]]),
-                                      len(cuts) - 1, range(1, len(cuts) - 1), submit)
-    for later_lo, later_hi in later:
-        lo, hi = np.where(later_lo > lo, lo, later_lo), np.where(later_hi < hi, hi, later_hi)
-    return lo, hi
+    return tuple(on_two_threads(lambda i: column_extremes(points, (np.min, np.max)[i]), 2, [1]))
 
 
 def _drop_repeats(codes: np.ndarray) -> np.ndarray:
@@ -374,19 +364,19 @@ def _drop_repeats(codes: np.ndarray) -> np.ndarray:
     return codes[keep]
 
 
-def _part_leaves(points: np.ndarray, steps: QuantSteps, submit=None) -> np.ndarray:
+def _part_leaves(points: np.ndarray, steps: QuantSteps, cut: bool) -> np.ndarray:
     """A part's sorted, unique leaf Morton codes: ``np.sort(_interleave(quantize(...).indices, depth))``.
 
-    Given a helper's ``submit`` (the encoder passes it for a lone busy part on
-    the C coder), the rows are cut in two halves: the calling thread and the
+    Given ``cut`` (the encoder's choice for a lone busy part on the C coder)
+    and two rows, the rows are cut in two halves: the calling thread and a
     helper each fill, sort and deduplicate one half's codes
     (:func:`kernel.lattice_rows`), and the two sorted runs are merged once.
     """
-    cuts = _cuts(len(points), submit)
-    if len(cuts) == 2:
+    if not cut or len(points) < 2:
         codes = kernel.lattice_codes(points, steps)
         codes.sort()
         return _drop_repeats(codes)
+    cuts = (0, len(points) // 2, len(points))
     codes, fill = kernel.lattice_rows(points, steps)
 
     def half(i: int) -> np.ndarray:
@@ -395,7 +385,7 @@ def _part_leaves(points: np.ndarray, steps: QuantSteps, submit=None) -> np.ndarr
         run.sort()
         return _drop_repeats(run)
 
-    merged = np.concatenate(on_two_threads(half, 2, [1], submit))
+    merged = np.concatenate(on_two_threads(half, 2, [1]))
     merged.sort(kind="stable")  # timsort merges the two sorted runs
     return _drop_repeats(merged)
 
@@ -403,25 +393,21 @@ def _part_leaves(points: np.ndarray, steps: QuantSteps, submit=None) -> np.ndarr
 def encode_cloud(cloud: PointCloud, cfg: CodecConfig) -> Container:
     """Quantize each radial part to its sorted, unique leaf Morton codes, code its octree, and pack the container.
 
-    Busy parts share the call's one helper thread (:func:`_code_parts`); a
-    lone busy part's rows share it instead (:func:`_part_leaves`).
+    Busy parts are coded on two threads (:func:`_code_parts`); a lone busy
+    part's rows are cut in two instead (:func:`_part_leaves`).
     """
-    with helper_thread() as submit:
-        if kernel.coder_name() == "python":  # loads the kernel here, before the helper starts
-            submit = None
-        steps, thresholds, part = _header_lattice(cloud, cfg, submit)
-        sizes = [len(cloud)] if part is None else np.bincount(part, minlength=cfg.parts.n_parts).tolist()
-        rows = submit if sum(size > 0 for size in sizes) == 1 else None  # a lone busy part: its rows on two threads
+    steps, thresholds, part = _header_lattice(cloud, cfg)
+    sizes = [len(cloud)] if part is None else np.bincount(part, minlength=cfg.parts.n_parts).tolist()
+    cut = sum(size > 0 for size in sizes) == 1 and _two_threads()  # a lone busy part: its rows on two threads
 
-        def code(n: int) -> PartRecord:
-            if not sizes[n]:
-                return PartRecord(0, True, b"")
-            st = part_steps(steps, n)
-            leaves = _part_leaves(cloud.points if part is None else cloud.points[part == n], st, rows)
-            count, payload = kernel.encode_part(leaves, st.depth)
-            return PartRecord(count, False, payload)
+    def code(n: int) -> PartRecord:
+        if not sizes[n]:
+            return PartRecord(0, True, b"")
+        st = part_steps(steps, n)
+        leaves = _part_leaves(cloud.points if part is None else cloud.points[part == n], st, cut)
+        count, payload = kernel.encode_part(leaves, st.depth)
+        return PartRecord(count, False, payload)
 
-        records = _code_parts(code, sizes, submit)
     return Container(
         cfg.system,
         steps.depth,
@@ -429,7 +415,7 @@ def encode_cloud(cloud: PointCloud, cfg: CodecConfig) -> Container:
         steps.rho_max,
         steps.origin_offset,
         thresholds,
-        tuple(records),
+        tuple(_code_parts(code, sizes)),
         len(cloud),
     )
 

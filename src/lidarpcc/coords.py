@@ -145,16 +145,25 @@ def lattice_steps(system: str, q: float, rho_max: float, depth: int, origin) -> 
     return QuantSteps(system, q, 2.0 * np.pi / (bins - 1), q_phi, bins, depth, rho_max, tuple(origin))
 
 
-def bounding_box(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``points.min(axis=0), points.max(axis=0)`` bit for bit, several times faster, one column at a time.
+_LINE = 256  # rows reduced side by side: numpy's axis-0 reduction is fast along a long row, slow along three values
 
-    Of a ±0 extreme the axis-0 reduction keeps the column's last zero, so that zero is read back.
+
+def column_extremes(points: np.ndarray, reduce) -> np.ndarray:
+    """``reduce(points, axis=0)`` bit for bit for ``np.min`` or ``np.max``, many times faster, in one pass.
+
+    The rows are reduced :data:`_LINE` at a time side by side, then the
+    partial extremes with the last rows. Of a ±0 extreme the axis-0 reduction
+    keeps the column's last zero, so that zero is read back.
     """
-    def extreme(reduce, col):
-        value = reduce(col)
-        return col[np.flatnonzero(col == 0)[-1]] if value == 0 else value
+    whole = len(points) // _LINE * _LINE
+    heads = [reduce(points[:whole].reshape(-1, 3 * _LINE), axis=0).reshape(-1, 3)] if whole else []
+    values = reduce(np.concatenate(heads + [points[whole:]]), axis=0)
+    return np.array([col[np.flatnonzero(col == 0)[-1]] if v == 0 else v for v, col in zip(values, points.T)])
 
-    return tuple(np.array([extreme(reduce, col) for col in points.T]) for reduce in (np.min, np.max))
+
+def bounding_box(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``points.min(axis=0), points.max(axis=0)`` bit for bit, by :func:`column_extremes`."""
+    return column_extremes(points, np.min), column_extremes(points, np.max)
 
 
 def derive_steps(system: str, q: float, cloud: PointCloud, rho_max: float | None = None) -> QuantSteps:

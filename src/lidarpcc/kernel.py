@@ -3,20 +3,19 @@
 Per part the codec calls :func:`lattice_codes` (points to leaf Morton codes),
 sorts and deduplicates the codes, then calls :func:`encode_part` (leaf codes
 to symbol count and payload), or on decode :func:`decode_part` (payload to
-leaf codes) and :func:`leaf_points` (leaf codes to voxel centres);
-:func:`bounding_box` measures the Cartesian box, once per encode. A lone part
-is coded in two halves of its rows on two threads: :func:`lattice_rows` fills
-its codes range by range. This module alone chooses the implementation.
+leaf codes) and :func:`leaf_points` (leaf codes to voxel centres). A lone
+part is coded in two halves of its rows on two threads: :func:`lattice_rows`
+fills its codes range by range. This module alone chooses the implementation.
 :func:`load` compiles the C source with the system ``cc`` into a per-user
 cache the first time a call asks for it; without a compiler, or without a
 cache directory private to the user, it returns None and every call but
-:func:`lattice_rows` runs its Python twin: ``coords``' numpy lattice chain
-and ``bounding_box``, the numpy de-interleave and ``coords.lattice_points``,
-and the per-node coder (``_encode_per_node``, which builds the octree with
-``octree._levels``, and ``_decode_per_node``). The
-twins give the same bits and raise the same errors; the coder runs 100 to 300
-times slower per symbol (README, *Speed*). Kernel calls release the GIL, so
-parts, and a lone part's halves, can be coded on two threads.
+:func:`lattice_rows` runs its Python twin: ``coords``' numpy lattice chain,
+the numpy de-interleave and ``coords.lattice_points``, and the per-node
+coder (``_encode_per_node``, which builds the octree with ``octree._levels``,
+and ``_decode_per_node``). The twins give the same bits and raise the same
+errors; the coder runs 100 to 300 times slower per symbol (README, *Speed*).
+Kernel calls release the GIL, so parts, and a lone part's halves, can be
+coded on two threads.
 """
 
 from __future__ import annotations
@@ -63,7 +62,6 @@ _f64p = ctypes.POINTER(ctypes.c_double)
 _SIGNATURES = {
     "lattice_codes": [_f64p, _f64p, _f64p, ctypes.c_int64, ctypes.c_int64, _f64p, _f64p, ctypes.c_int,
                       ctypes.c_int, _i64p],
-    "bounding_box": [_f64p, ctypes.c_int64, _f64p, _f64p],
     "encode_part": [_i64p, ctypes.c_int64, ctypes.c_int, _i64p, _u8p, ctypes.c_int64, _u8p, ctypes.c_int64,
                     _i64p],
     "decode_part": [_u8p, ctypes.c_int64, ctypes.c_int, ctypes.c_int64, _u8p, _i64p],
@@ -220,19 +218,6 @@ def lattice_rows(points: np.ndarray, steps: coords.QuantSteps):
             raise RuntimeError(f"part kernel failed with code {done}")
 
     return codes, fill
-
-
-def bounding_box(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``coords.bounding_box(points)`` bit for bit, ±0 extremes included, in one pass over the rows."""
-    points = _rows(points)
-    lib = load()
-    if lib is None or not len(points):
-        return coords.bounding_box(points)
-    lo, hi = np.empty(3), np.empty(3)
-    done = lib.bounding_box(_ptr(points, _f64p), len(points), _ptr(lo, _f64p), _ptr(hi, _f64p))
-    if done != len(points):
-        raise RuntimeError(f"part kernel failed with code {done}")
-    return lo, hi
 
 
 def encode_part(codes: np.ndarray, depth: int) -> tuple[int, bytes]:

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import MetricError
+from .errors import MetricError, check_finite_positive
 from .pcio import PointCloud
 from .threads import on_two_threads
 
@@ -34,8 +34,7 @@ class MetricConfig:
     cd_convention: str = MEAN_L2
 
     def __post_init__(self):
-        if self.peak <= 0:
-            raise MetricError("peak must be positive")
+        check_finite_positive("peak", self.peak, MetricError)
         if self.knn_k < 3:
             raise MetricError("knn_k must be ≥ 3")
         if self.psnr_convention not in (R_SQUARED, THREE_R_SQUARED):
@@ -208,8 +207,8 @@ class RDCurve:
 
     def __post_init__(self):
         pts = tuple((float(r), float(d)) for r, d in self.points)
-        if any(r <= 0 for r, _ in pts):
-            raise MetricError("RD rates must be strictly positive")
+        for r, _ in pts:
+            check_finite_positive("RD rate", r, MetricError)
         object.__setattr__(self, "points", pts)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -283,7 +282,10 @@ def compute_report(ref, rec, cfg: MetricConfig = MetricConfig(), rate_bpp: float
     (:func:`_normals`); the tree on ``rec`` is built only after it is
     dropped, for the ref → rec query. The values equal those of
     :func:`d1_psnr`, :func:`d2_details` and :func:`chamfer` bit for bit.
+    A given ``rate_bpp`` must be finite and positive.
     """
+    if rate_bpp is not None:
+        check_finite_positive("rate_bpp", rate_bpp, MetricError)
     a, b = _points(ref), _points(rec)
     _check_knn(a, cfg)
     tree = cKDTree(a)

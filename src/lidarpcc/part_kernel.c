@@ -2,8 +2,7 @@
  *
  * lattice_codes turns a part's coordinate columns into one leaf Morton code
  * per point, with coords._lattice_indices' float64 arithmetic and
- * octree._interleave's bit order; bounding_box measures the Cartesian origin
- * as numpy's axis-0 reductions do. The caller sorts and deduplicates the
+ * octree._interleave's bit order. The caller sorts and deduplicates the
  * codes. encode_part derives their breadth-first occupancy symbols, one byte
  * per node, levels 1..depth, and range-codes them; decode_part decodes the
  * symbols, leaf_codes expands them to the leaves' Morton codes by their set
@@ -33,7 +32,7 @@ enum {
     ERR_COUNT_EXCEEDS = -4, /* info[0]: nodes the tree holds */
     ERR_NOMEM = -5,
     ERR_CAPACITY = -6,     /* encoder output buffer too small */
-    ERR_SHAPE = -7,        /* a depth or row count out of range, or leaves that disagree with a tree */
+    ERR_SHAPE = -7,        /* a depth out of range, or leaves that disagree with a tree */
     ERR_LEAVES = -8,       /* leaf codes not sorted, unique and below 8^depth */
     ERR_RADIUS = -9,       /* a radial index past the 2^depth lattice */
 };
@@ -345,23 +344,5 @@ int64_t code_points(const int64_t *codes, int64_t n, const double *step, const d
     for (int64_t i = 0; i < n; i++)
         for (int k = 0; k < 3; k++)
             out[3 * i + k] = (double)compact((uint64_t)codes[i] >> (2 - k)) * step[k] + offset[k];
-    return n;
-}
-
-/* Per-axis minimum and maximum of n >= 1 rows (x, y, z), into lo[0..3) and
- * hi[0..3): of equal extremes, such as +0 and -0, the last one wins, as in
- * numpy's axis-0 reductions. */
-int64_t bounding_box(const double *p, int64_t n, double *lo, double *hi) {
-    if (n < 1) return ERR_SHAPE;
-    double min[3] = {p[0], p[1], p[2]}, max[3] = {p[0], p[1], p[2]};
-    for (int64_t i = 1; i < n; i++) {
-        for (int k = 0; k < 3; k++) {
-            double v = p[3 * i + k];
-            if (!(v > min[k])) min[k] = v;
-            if (!(v < max[k])) max[k] = v;
-        }
-    }
-    memcpy(lo, min, sizeof min);
-    memcpy(hi, max, sizeof max);
     return n;
 }

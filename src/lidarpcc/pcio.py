@@ -76,11 +76,20 @@ def read_kitti_bin(path) -> PointCloud:
 
 
 def write_kitti_bin(cloud: PointCloud, path) -> None:
-    """Write a cloud as KITTI records; missing attr is stored as zeros."""
+    """Write a cloud as KITTI records; missing attr is stored as zeros.
+
+    A cloud with a value that is not finite as float32 (NaN, infinite or past
+    float32's range) is refused, naming its first such record, and nothing is
+    written: :func:`read_kitti_bin` would refuse it.
+    """
     rec = np.zeros((len(cloud), 4), dtype="<f4")
-    rec[:, :3] = cloud.points
-    if cloud.attr is not None:
-        rec[:, 3] = cloud.attr
+    with np.errstate(over="ignore"):
+        rec[:, :3] = cloud.points
+        if cloud.attr is not None:
+            rec[:, 3] = cloud.attr
+    bad = ~np.isfinite(rec).all(axis=1)
+    if bad.any():
+        raise FormatError(f"{path}: record {int(np.flatnonzero(bad)[0])} is not finite as float32")
     rec.tofile(path)
 
 
@@ -115,17 +124,25 @@ def _parse_ply_header(fh, path):
         words = line.decode("ascii", errors="replace").split()
         if not words or words[0] == "comment" or words[0] == "obj_info":
             continue
+        # the words a line needs, its keyword included: "property list <count type> <item type> <name>"
+        need = {"format": 2, "element": 3, "property": 5 if words[1:2] == ["list"] else 3}.get(words[0], 1)
+        if len(words) < need:
+            raise FormatError(f"{path}: malformed PLY header line '{' '.join(words)}'")
         if words[0] == "format":
             if words[1] not in ("ascii", "binary_little_endian"):
                 raise FormatError(f"{path}: unsupported PLY format '{words[1]}'")
             fmt = words[1]
         elif words[0] == "element":
+            if not words[2].isdecimal():
+                raise FormatError(f"{path}: PLY element '{words[1]}' has count '{words[2]}', not a non-negative integer")
             elements.append((words[1], int(words[2]), []))
         elif words[0] == "property":
             if not elements:
                 raise FormatError(f"{path}: property before any element")
             if words[1] == "list":
                 elements[-1][2].append(("list", words[-1], words[2], words[3]))
+            elif words[1] not in _PLY_SCALAR_TYPES:
+                raise FormatError(f"{path}: unknown PLY property type '{words[1]}'")
             else:
                 elements[-1][2].append(("scalar", words[2], words[1]))
         elif words[0] == "end_header":
@@ -158,20 +175,14 @@ def read_ply(path) -> PointCloud:
                     raise FormatError(f"{path}: vertex element lacks property '{axis}'")
                 if types[names.index(axis)] not in _PLY_FLOAT_TYPES:
                     raise FormatError(f"{path}: vertex property '{axis}' must be float or double")
-            try:
-                dtype = np.dtype([(n, "<" + _PLY_SCALAR_TYPES[t]) for n, t in zip(names, types)])
-            except KeyError as exc:
-                raise FormatError(f"{path}: unknown PLY property type {exc}") from None
+            dtype = np.dtype([(n, "<" + _PLY_SCALAR_TYPES[t]) for n, t in zip(names, types)])
             if fmt == "ascii":
                 rows = _read_ascii_rows(fh, count, len(props), path)
                 data = np.zeros(count, dtype=dtype)
                 for j, n in enumerate(names):
                     data[n] = rows[:, j]
             else:
-                buf = fh.read(dtype.itemsize * count)
-                if len(buf) != dtype.itemsize * count:
-                    raise FormatError(f"{path}: vertex data truncated")
-                data = np.frombuffer(buf, dtype=dtype)
+                data = np.frombuffer(_read_exactly(fh, dtype.itemsize * count, f"{path}: vertex data"), dtype=dtype)
             pts = np.stack([data["x"], data["y"], data["z"]], axis=1).astype(np.float64)
             extra = [n for n in names if n not in ("x", "y", "z")]
             attr = None
@@ -190,16 +201,36 @@ def read_ply(path) -> PointCloud:
         return cloud
 
 
+# what a PLY element's buffer holds before it grows: a header count is not trusted until its data is read
+_ASCII_ROWS, _BINARY_BYTES = 1 << 16, 1 << 24
+
+
+def _read_exactly(fh, size, what):
+    """``size`` bytes of ``fh``, read a chunk at a time."""
+    buf = bytearray()
+    while len(buf) < size:
+        chunk = fh.read(min(size - len(buf), _BINARY_BYTES))
+        if not chunk:
+            raise FormatError(f"{what} truncated")
+        buf += chunk
+    return buf
+
+
 def _read_ascii_rows(fh, count, ncols, path):
-    rows = np.empty((count, ncols), dtype=np.float64)
+    rows = np.empty((min(count, _ASCII_ROWS), ncols), dtype=np.float64)
     for i in range(count):
+        if i == len(rows):
+            rows = np.concatenate([rows, np.empty((min(count - i, i), ncols))])
         line = fh.readline()
         if not line:
             raise FormatError(f"{path}: vertex data truncated at row {i}")
         vals = line.split()
         if len(vals) != ncols:
             raise FormatError(f"{path}: expected {ncols} values in vertex row {i}")
-        rows[i] = [float(v) for v in vals]
+        try:
+            rows[i] = [float(v) for v in vals]
+        except ValueError:
+            raise FormatError(f"{path}: non-numeric value in vertex row {i}") from None
     return rows
 
 
@@ -213,7 +244,7 @@ def _skip_ply_element(fh, fmt, count, props, path, name):
         # Variable-size binary element: cannot seek past it reliably.
         raise FormatError(f"{path}: binary element '{name}' with list properties precedes vertex data")
     row = sum(np.dtype(_PLY_SCALAR_TYPES[p[2]]).itemsize for p in props)
-    fh.seek(row * count, 1)
+    _read_exactly(fh, row * count, f"{path}: element '{name}'")  # read, not sought: a pipe cannot seek
 
 
 def write_ply(cloud: PointCloud, path, fmt: str = "binary") -> None:

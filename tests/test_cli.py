@@ -13,7 +13,7 @@ import pytest
 from lidarpcc import analysis, cli, kernel
 from lidarpcc.analysis import empirical_error, error_colormap_export
 from lidarpcc.codec import CodecConfig, decode_cloud, encode_cloud, pipeline_reconstruct
-from lidarpcc.pcio import read_kitti_bin, read_ply, write_ply
+from lidarpcc.pcio import PointCloud, read_kitti_bin, read_ply, write_ply
 
 CLI = [sys.executable, "-m", "lidarpcc.cli"]
 
@@ -262,6 +262,61 @@ def test_bench_refuses_depths_that_are_not_integers(scan, tmp_path, capsys):
         assert cli.main(["bench", str(scan), str(out), "--depths", depths]) == 2
         assert capsys.readouterr().err == f"lidarpcc: error: bad --depths value '{depths}'\n"
     assert not out.exists()
+
+
+_ASCII, _XYZ = "format ascii 1.0\n", "property float x\nproperty float y\nproperty float z\n"
+
+
+@pytest.mark.parametrize("header, rows", [
+    (_ASCII + "element vertex abc\n" + _XYZ, "1 2 3\n"),
+    (_ASCII + "element vertex -2\n" + _XYZ, "1 2 3\n"),
+    ("format\nelement vertex 1\n" + _XYZ, "1 2 3\n"),
+    (_ASCII + "element vertex\n" + _XYZ, "1 2 3\n"),
+    (_ASCII + "element vertex 1\nproperty float\n" + _XYZ, "1 2 3\n"),
+    (_ASCII + "element vertex 99999999999999\n" + _XYZ, "1 2 3\n"),
+    (_ASCII + "element vertex 1\n" + _XYZ, "1 2 three\n"),
+], ids=["count-not-a-number", "negative-count", "format-alone", "no-count", "property-without-name",
+        "count-past-the-file", "value-not-a-number"])
+def test_malformed_ply_exits_2(tmp_path, capsys, header, rows):
+    # each of these used to end in a traceback and exit 1
+    path, out = tmp_path / "bad.ply", tmp_path / "o.scp"
+    path.write_text("ply\n" + header + "end_header\n" + rows)
+    assert cli.main(["encode", str(path), str(out), "--depth", "8", "--convention", "kitti"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"lidarpcc: error: {path}: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_decode_refuses_a_cloud_kitti_records_cannot_hold(tmp_path, capsys):
+    # x = 1e39 codes exactly at q = 1e37, but float32 overflows: decode refuses it and writes nothing
+    src, enc, out = tmp_path / "big.ply", tmp_path / "big.scp", tmp_path / "big.bin"
+    write_ply(PointCloud(np.array([[0.0, 0.0, 0.0], [1e39, 0.0, 0.0]])), src)
+    assert cli.main(["encode", str(src), str(enc), "--system", "cartesian", "--q", "1e37"]) == 0
+    capsys.readouterr()
+    assert cli.main(["decode", str(enc), str(out)]) == 2
+    assert capsys.readouterr().err == f"lidarpcc: error: {out}: record 1 is not finite as float32\n"
+    assert not out.exists()
+    assert cli.main(["decode", str(enc), str(tmp_path / "big_rec.ply")]) == 0  # a PLY holds float64
+
+
+def test_metric_inputs_must_be_finite(scan, made, tmp_path, capsys):
+    # nan printed d1_db=nan and wrote NaN, which is not JSON; inf gave a lossy cloud infinite PSNR;
+    # the rate was echoed whatever it was, and a nan rate in a curve made bdrate print nan
+    rec, report = made / "x.ply", tmp_path / "m.json"
+    for flag, value, field in (("--peak", "nan", "peak"), ("--peak", "inf", "peak"), ("--peak", "-1", "peak"),
+                               ("--bpp", "-1", "rate_bpp"), ("--bpp", "nan", "rate_bpp"), ("--bpp", "inf", "rate_bpp"),
+                               ("--bpp", "0", "rate_bpp")):
+        capsys.readouterr()
+        assert cli.main(["metrics", str(scan), str(rec), flag, value, "--json", str(report)]) == 2, (flag, value)
+        assert capsys.readouterr() == ("", f"lidarpcc: error: {field} must be finite and positive, got {float(value)}\n")
+        assert not report.exists()
+    assert cli.main(["bench", str(scan), str(tmp_path / "b.csv"), "--depths", "8", "--peak", "nan"]) == 2
+    assert capsys.readouterr().err == "lidarpcc: error: peak must be finite and positive, got nan\n"
+    assert not (tmp_path / "b.csv").exists()
+    for rate in ("nan", "inf"):
+        (tmp_path / "t.csv").write_text((made / "test.csv").read_text().replace("7.2,", f"{rate},"))
+        assert cli.main(["bdrate", str(made / "anchor.csv"), str(tmp_path / "t.csv")]) == 2
+        assert capsys.readouterr() == ("", f"lidarpcc: error: RD rate must be finite and positive, got {rate}\n")
 
 
 def test_bench_builds_parts_as_encode_does(scan, tmp_path):

@@ -219,18 +219,18 @@ class _Measured(Exception):
     """Stops an encode once its front end has measured the cloud, before any part is quantized."""
 
 
-def _front_end_measures(cloud, cfg) -> tuple[int, int]:
-    """How many whole-cloud radius arrays, and how many rows of bounding boxes, an encode measures before its parts."""
-    radii, rows = [], []
-    radial_coord, bounding_box = codec.radial_coord, kernel.bounding_box
+def _front_end_measures(cloud, cfg) -> tuple[int, int, int]:
+    """How many whole-cloud radius arrays, and how many rows of box minima and of maxima, an encode measures before its parts."""
+    radii, rows = [], {np.min: 0, np.max: 0}
+    radial_coord, column_extremes = codec.radial_coord, codec.column_extremes
 
     def radius(points, system):
         radii.append(len(points))
         return radial_coord(points, system)
 
-    def box(points):
-        rows.append(len(points))
-        return bounding_box(points)
+    def extremes(points, reduce):
+        rows[reduce] += len(points)
+        return column_extremes(points, reduce)
 
     def stop(*args):
         raise _Measured
@@ -238,20 +238,21 @@ def _front_end_measures(cloud, cfg) -> tuple[int, int]:
     with pytest.MonkeyPatch.context() as mp:
         for module in ("coords", "codec", "octree"):
             mp.setattr(f"lidarpcc.{module}.radial_coord", radius)
-        mp.setattr(kernel, "bounding_box", box)
+        for module in ("coords", "codec"):
+            mp.setattr(f"lidarpcc.{module}.column_extremes", extremes)
         mp.setattr(codec, "_part_leaves", stop)
         with pytest.raises(_Measured):
             encode_cloud(cloud, cfg)
-    return radii.count(len(cloud)), sum(rows)
+    return radii.count(len(cloud)), rows[np.min], rows[np.max]
 
 
 def test_the_encoder_measures_the_cloud_once():
     # one radius array feeds rho_max and the split; the box, the step and the origin
     cloud = _cloud(n=3000)
-    assert _front_end_measures(cloud, CodecConfig(system=SPHERICAL, q=0.5)) == (1, 0)
-    assert _front_end_measures(cloud, CodecConfig(system=CYLINDRICAL, depth=12, convention="kitti")) == (1, 0)
-    assert _front_end_measures(cloud, CodecConfig(system=CARTESIAN, depth=10)) == (0, len(cloud))
-    assert _front_end_measures(cloud, CodecConfig(system=SPHERICAL, q=0.5, rho_max=90.0, parts=ONE_PART)) == (0, 0)
+    assert _front_end_measures(cloud, CodecConfig(system=SPHERICAL, q=0.5)) == (1, 0, 0)
+    assert _front_end_measures(cloud, CodecConfig(system=CYLINDRICAL, depth=12, convention="kitti")) == (1, 0, 0)
+    assert _front_end_measures(cloud, CodecConfig(system=CARTESIAN, depth=10)) == (0, len(cloud), len(cloud))
+    assert _front_end_measures(cloud, CodecConfig(system=SPHERICAL, q=0.5, rho_max=90.0, parts=ONE_PART)) == (0, 0, 0)
 
 
 def test_depth_below_one_is_refused():
@@ -438,22 +439,22 @@ def _thread_starts(monkeypatch, call, *args) -> int:
 
 
 @pytest.mark.parametrize("python_coder", [False, True])
-def test_encode_starts_one_helper_and_none_nested(monkeypatch, python_coder):
-    # a lone busy part's rows, box and leaf codes, share the one helper; three busy parts
-    # use it for parts and none of them cuts its rows, so no helper starts inside it
+def test_encode_starts_a_helper_per_stage_and_none_nested(monkeypatch, python_coder):
+    # a Cartesian box (numpy, so on either coder) and a lone busy part's rows each start one
+    # helper; three busy parts share one and none of them cuts its rows, so no helper starts inside it
     if python_coder:
         monkeypatch.setattr(kernel, "load", lambda: None)
     helpers = 0 if kernel.coder_name() == "python" else 1
     sweep = synth_lidar(SynthParams(beams=8, points_per_ring=128, seed=2))
     three = encode_cloud(sweep, _KITTI11)
     assert len(three.parts) == 3 and not any(p.empty for p in three.parts)
-    for cloud, cfg in (
-        (sweep, CodecConfig(system=CARTESIAN, depth=10, convention="kitti")),
-        (sweep, CodecConfig(system=CARTESIAN, depth=10, convention="raw")),  # the box is measured twice
-        (sweep, CodecConfig(system=SPHERICAL, depth=10, convention="kitti", parts=ONE_PART)),
-        (sweep, _KITTI11),
+    for cloud, cfg, box in (
+        (sweep, CodecConfig(system=CARTESIAN, depth=10, convention="kitti"), 1),  # the box, then the rows
+        (sweep, CodecConfig(system=CARTESIAN, depth=10, convention="raw"), 1),  # one box gives step and origin
+        (sweep, CodecConfig(system=SPHERICAL, depth=10, convention="kitti", parts=ONE_PART), 0),
+        (sweep, _KITTI11, 0),
     ):
-        assert _thread_starts(monkeypatch, encode_cloud, cloud, cfg) == helpers, cfg
+        assert _thread_starts(monkeypatch, encode_cloud, cloud, cfg) == box + helpers, cfg
     # one row has no halves, and an angle system with one busy part of three cuts that part
     assert _thread_starts(monkeypatch, encode_cloud, PointCloud(np.ones((1, 3))), CodecConfig(q=0.5)) == 0
     near = PointCloud(sweep.points[np.linalg.norm(sweep.points, axis=1) < 8.0])

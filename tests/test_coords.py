@@ -1,7 +1,6 @@
 """Coordinate transforms and lattice quantization."""
 
 import dataclasses
-import functools
 import math
 import warnings
 
@@ -11,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lidarpcc import codec, kernel
+from lidarpcc import codec
 from lidarpcc.coords import (
     CARTESIAN,
     CYLINDRICAL,
@@ -32,7 +31,6 @@ from lidarpcc.coords import (
 )
 from lidarpcc.errors import ConfigError
 from lidarpcc.pcio import PointCloud
-from lidarpcc.threads import helper_thread
 
 coord = st.floats(-300.0, 300.0, allow_nan=False, allow_infinity=False, width=64)
 
@@ -148,22 +146,28 @@ def test_bounding_box_keeps_the_signs_of_zero_of_the_axis_reductions():
     # per-column mins and maxes pick a different ±0 than the axis-0 reductions on
     # some of these clouds, and the Cartesian origin is written to the header
     rng = np.random.default_rng(17)
-    with helper_thread() as submit:
-        # the kernel's one pass over the rows too, and the encoder's two halves of them, combined
-        boxes = (bounding_box, kernel.bounding_box, functools.partial(codec._bounding_box, submit=submit))
-        for n in (1, 2, 5, 64, 3000):
-            for _ in range(40):
-                pts = rng.choice([0.0, -0.0, 1.0, 2.0], size=(n, 3)) * rng.choice([1.0, -1.0])
-                least = pts.min(axis=0).tobytes()
-                for box in boxes:
-                    lo, hi = box(pts)
-                    assert lo.tobytes() == least
-                    assert hi.tobytes() == pts.max(axis=0).tobytes()
-                    assert np.array(box_steps(0.5, lo, hi).origin_offset).tobytes() == least
-                # the header origin of the public rule and of the encoder's front end
-                cloud, cfg = PointCloud(pts), codec.CodecConfig(system=CARTESIAN, q=0.5)
-                for steps in (derive_steps(CARTESIAN, 0.5, cloud), codec.encode_cloud(cloud, cfg)):
-                    assert np.array(steps.origin_offset).tobytes() == least
+    # the encoder's box too, its minima and maxima reduced on two threads;
+    # 512 and 3000 rows are reduced 256 side by side, 3000 with 184 rows left over
+    for n in (1, 2, 5, 64, 512, 3000):
+        for _ in range(40):
+            pts = rng.choice([0.0, -0.0, 1.0, 2.0], size=(n, 3)) * rng.choice([1.0, -1.0])
+            least = pts.min(axis=0).tobytes()
+            for box in (bounding_box, codec._bounding_box):
+                lo, hi = box(pts)
+                assert lo.tobytes() == least
+                assert hi.tobytes() == pts.max(axis=0).tobytes()
+                assert np.array(box_steps(0.5, lo, hi).origin_offset).tobytes() == least
+            # the header origin of the public rule and of the encoder's front end
+            cloud, cfg = PointCloud(pts), codec.CodecConfig(system=CARTESIAN, q=0.5)
+            for steps in (derive_steps(CARTESIAN, 0.5, cloud), codec.encode_cloud(cloud, cfg)):
+                assert np.array(steps.origin_offset).tobytes() == least
+    # an extreme in any row, the first 256 or the rows left over
+    for n, row in ((300, 0), (300, 255), (300, 256), (300, 299), (512, 511)):
+        pts = rng.uniform(-1.0, 1.0, size=(n, 3))
+        pts[row] = (5.0, -5.0, 0.0) if row % 2 else (-5.0, 5.0, 0.0)
+        for box in (bounding_box, codec._bounding_box):
+            lo, hi = box(pts)
+            assert (lo.tobytes(), hi.tobytes()) == (pts.min(axis=0).tobytes(), pts.max(axis=0).tobytes())
 
 
 def test_cylindrical_depth_covers_z():

@@ -32,6 +32,7 @@ from lidarpcc.codec import (
     CodecConfig,
     Container,
     _part_leaves,
+    _two_threads,
     decode_cloud,
     encode_cloud,
     pipeline_reconstruct,
@@ -64,7 +65,6 @@ from lidarpcc.octree import (
     partition_multilevel,
 )
 from lidarpcc.pcio import PointCloud
-from lidarpcc.threads import helper_thread
 
 ONE_PART = MultiLevelConfig(1, (0.0, 1.0))
 
@@ -187,7 +187,7 @@ def test_lattice_codes_match_the_quantize_chain(case):
     # the codec's leaf codes, the kernel's lattice and Morton codes then sort and
     # dedup, are the reference chain's bit for bit, refusals word for word
     points, steps = case
-    outcome = on_both_coders(_or_refusal, _part_leaves, points, steps)
+    outcome = on_both_coders(_or_refusal, _part_leaves, points, steps, False)
     assert outcome == _outcome(_or_refusal, lambda: _sorted_codes(quantize(PointCloud(points), steps)))
     if isinstance(outcome, str):
         assert outcome.startswith(f"ConfigError: rho_max={steps.rho_max} smaller than cloud max radius ")
@@ -303,8 +303,7 @@ def cut_lattices(draw):
 
 def _cut_leaves(points, steps):
     """The codec's leaf codes with the rows cut in two halves on two threads, as a lone part's; serial on the Python coder."""
-    with helper_thread() as submit:
-        return _part_leaves(points, steps, submit if kernel.coder_name() == "c" else None)
+    return _part_leaves(points, steps, _two_threads())
 
 
 @settings(max_examples=300, deadline=None)

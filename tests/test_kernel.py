@@ -151,8 +151,6 @@ def test_point_entries_reject_what_is_not_a_row_of_three(monkeypatch):
         for shape in ((4, 2), (4,), (2, 4)):
             message = "^" + re.escape(f"points must be (N, 3), got {shape}") + "$"
             with pytest.raises(ValueError, match=message):
-                kernel.bounding_box(np.zeros(shape))
-            with pytest.raises(ValueError, match=message):
                 kernel.lattice_codes(np.zeros(shape), steps)
         for depth in (0, 21):
             with pytest.raises(ValueError, match=rf"^octree depth {depth} outside \[1, 20\]$"):

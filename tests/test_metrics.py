@@ -142,6 +142,23 @@ def test_metric_config_validation():
         MetricConfig(cd_convention="nope")
 
 
+@pytest.mark.parametrize("peak", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_metric_config_refuses_a_peak_not_finite_and_positive(peak):
+    # a nan peak gave nan PSNRs, and an infinite one an infinite PSNR for a lossy cloud
+    with pytest.raises(MetricError, match=f"^peak must be finite and positive, got {peak}$"):
+        MetricConfig(peak=peak)
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
+def test_rates_must_be_finite_and_positive(rate):
+    # compute_report echoed any rate, and a curve's nan rate passed `r <= 0` and made BD-Rate nan
+    ref = np.random.default_rng(6).normal(size=(20, 3))
+    with pytest.raises(MetricError, match=f"^rate_bpp must be finite and positive, got {rate}$"):
+        compute_report(ref, ref + 0.001, MetricConfig(), rate_bpp=rate)
+    with pytest.raises(MetricError, match=f"^RD rate must be finite and positive, got {rate}$"):
+        RDCurve(((1.0, 40.0), (rate, 41.0)))
+
+
 def test_compute_report_carries_rate():
     rng = np.random.default_rng(6)
     ref = rng.normal(size=(100, 3))

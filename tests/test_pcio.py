@@ -1,6 +1,8 @@
 """File I/O and the synthetic LiDAR generator."""
 
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -104,6 +106,24 @@ def test_ply_roundtrip(tmp_path, fmt):
         np.testing.assert_allclose(back.points, cloud.points, rtol=1e-8)
         np.testing.assert_allclose(back.attr, cloud.attr, rtol=1e-8)
     assert back.attr_name == cloud.attr_name
+
+
+@pytest.mark.parametrize("fmt", ["binary", "ascii", "binary after a skipped element"])
+@pytest.mark.filterwarnings("ignore:.*ignoring PLY element 'face'")
+def test_ply_reads_from_a_pipe(tmp_path, fmt):
+    # a stream that cannot seek or give its size, such as a FIFO or a shell's <(zcat scan.ply.gz),
+    # reads as the file does; the cloud fits in a pipe's buffer, so the writer never waits on a reader that failed
+    src, pipe = tmp_path / "c.ply", tmp_path / "pipe.ply"
+    write_ply(_cloud(), src, fmt=fmt.split()[0])
+    if fmt.endswith("element"):
+        data = src.read_bytes().replace(b"element vertex", b"element face 2\nproperty float area\nelement vertex", 1)
+        src.write_bytes(data.replace(b"end_header\n", b"end_header\n" + bytes(8), 1))
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_bytes, args=(src.read_bytes(),), daemon=True)
+    writer.start()
+    back, want = read_ply(pipe), read_ply(src)
+    writer.join(timeout=10)
+    assert back.points.tobytes() == want.points.tobytes() and back.attr.tobytes() == want.attr.tobytes()
 
 
 def test_ply_positions_only(tmp_path):
@@ -213,6 +233,67 @@ def test_ply_error_cases(tmp_path):
     )
     with pytest.raises(FormatError, match="must be float or double"):
         read_ply(int_axis)
+
+
+_XYZ = b"property float x\nproperty float y\nproperty float z\n"
+# headers whose counts, keywords' words or data sizes are malformed, each with the FormatError it gets
+MALFORMED_PLY = {
+    "count-not-a-number": (b"format ascii 1.0\nelement vertex abc\n" + _XYZ, b"1 2 3\n",
+                           "^.*: PLY element 'vertex' has count 'abc', not a non-negative integer$"),
+    "negative-count": (b"format ascii 1.0\nelement vertex -2\n" + _XYZ, b"1 2 3\n",
+                       "^.*: PLY element 'vertex' has count '-2', not a non-negative integer$"),
+    "format-alone": (b"format\nelement vertex 1\n" + _XYZ, b"1 2 3\n",
+                     "^.*: malformed PLY header line 'format'$"),
+    "element-without-count": (b"format ascii 1.0\nelement vertex\n" + _XYZ, b"1 2 3\n",
+                              "^.*: malformed PLY header line 'element vertex'$"),
+    "property-without-name": (b"format ascii 1.0\nelement vertex 1\nproperty float\n" + _XYZ, b"1 2 3\n",
+                              "^.*: malformed PLY header line 'property float'$"),
+    "list-without-name": (b"format ascii 1.0\nelement vertex 1\nproperty list uchar int\n" + _XYZ, b"1 2 3\n",
+                          "^.*: malformed PLY header line 'property list uchar int'$"),
+    "ascii-count-past-the-file": (b"format ascii 1.0\nelement vertex 99999999999999\n" + _XYZ, b"1 2 3\n",
+                                  "^.*: vertex data truncated at row 1$"),
+    "binary-count-past-index-range": (b"format binary_little_endian 1.0\nelement vertex 99999999999999999999\n"
+                                      + _XYZ, bytes(12), "^.*: vertex data truncated$"),
+    "skipped-count-past-offset-range": (b"format binary_little_endian 1.0\nelement face 99999999999999999999\n"
+                                        b"property float a\nelement vertex 1\n" + _XYZ, bytes(12),
+                                        "^.*: element 'face' truncated$"),
+    "skipped-unknown-type": (b"format binary_little_endian 1.0\nelement face 1\nproperty quad a\n"
+                             b"element vertex 1\n" + _XYZ, bytes(16), "^.*: unknown PLY property type 'quad'$"),
+    "ascii-value-not-a-number": (b"format ascii 1.0\nelement vertex 1\n" + _XYZ, b"1 a 3\n",
+                                 "^.*: non-numeric value in vertex row 0$"),
+}
+
+
+def malformed_ply(tmp_path, case: str):
+    """The file of one ``MALFORMED_PLY`` case and the message it is refused with."""
+    header, body, message = MALFORMED_PLY[case]
+    path = tmp_path / f"{case}.ply"
+    path.write_bytes(b"ply\n" + header + b"end_header\n" + body)
+    return path, message
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PLY))
+@pytest.mark.filterwarnings("ignore:.*ignoring PLY element 'face'")  # skipped before its size is refused
+def test_malformed_ply_headers_are_format_errors(tmp_path, case):
+    # each raised a bare ValueError, IndexError, KeyError, OverflowError or a petabyte allocation
+    path, message = malformed_ply(tmp_path, case)
+    with pytest.raises(FormatError, match=message):
+        read_ply(path)
+
+
+def test_write_kitti_refuses_what_overflows_float32(tmp_path):
+    # the reader refuses a non-finite record, so the writer writes none: nothing is written;
+    # a cloud's attr may be NaN or infinite already (an ASCII PLY's "nan"), which float32 cannot hold either
+    path = tmp_path / "big.bin"
+    for points, attr in (([[0.0, 0.0, 0.0], [1e39, 0.0, 0.0]], None), ([[0.0, 0.0, 0.0]] * 3, [0.0, 0.0, -1e39]),
+                         ([[0.0, 0.0, 0.0]] * 2, [0.0, np.nan]), ([[0.0, 0.0, 0.0]] * 2, [0.0, np.inf])):
+        cloud = PointCloud(np.array(points), None if attr is None else np.array(attr))
+        with pytest.raises(FormatError, match=f"^{path}: record {len(points) - 1} is not finite as float32$"):
+            write_kitti_bin(cloud, path)
+        assert not path.exists()
+    largest = np.float64(np.finfo(np.float32).max)
+    write_kitti_bin(PointCloud(np.array([[largest, -largest, 0.0]])), path)
+    assert read_kitti_bin(path).points.tolist() == [[largest, -largest, 0.0]]
 
 
 def test_write_ply_rejects_unknown_format(tmp_path):
