@@ -302,12 +302,22 @@ def _read_rd_curve(path, metric: str) -> RDCurve:
         rate_col = next((c for c in ("bpp", "rate_bpp", "rate") if c in rd.fieldnames), None)
         if rate_col is None or metric not in rd.fieldnames:
             raise FormatError(f"{path}: need a rate column (bpp) and a '{metric}' column")
-        for row in rd:
-            dist = float(row[metric])
-            rows.append((float(row[rate_col]), dist))
+        for n, row in enumerate(rd, start=1):
+            rows.append((_rd_cell(path, n, row, rate_col), _rd_cell(path, n, row, metric)))
     if not rows:
         raise FormatError(f"{path}: no RD rows")
     return RDCurve(tuple(rows))
+
+
+def _rd_cell(path, n: int, row: dict, column: str) -> float:
+    """The number in ``column`` of data row ``n``; a FormatError naming the file, row and column otherwise."""
+    value = row[column]
+    if value is None:
+        raise FormatError(f"{path}: data row {n} has no '{column}' value")
+    try:
+        return float(value)
+    except ValueError:
+        raise FormatError(f"{path}: data row {n}, column '{column}': {value!r} is not a number") from None
 
 
 def cmd_bdrate(args, stages) -> RunRecord:
@@ -336,11 +346,10 @@ def cmd_synth(args, stages) -> RunRecord:
     return RunRecord(asdict(params), (), (args.output,))
 
 
-def _bench_row(points, cfg, peak):
+def _bench_row(points, cfg, mcfg):
     cloud = PointCloud(points)
     container = encode_cloud(cloud, cfg)
     rec = decode_cloud(container)
-    mcfg = MetricConfig(peak=peak)
     report = compute_report(cloud, rec, mcfg, measure_bpp(container))
     return (
         cfg.system,
@@ -365,11 +374,12 @@ def cmd_bench(args, stages) -> RunRecord:
         raise ConfigError(f"bad --depths value '{args.depths}'") from None
     layout = _part_layout(args.parts, None)  # checked for every system; cartesian rows keep their one part
     jobs = []  # every config is built, and so checked, before the first row runs
+    mcfg = MetricConfig(peak=args.peak)
     for system in systems:
         parts = None if system == CARTESIAN else layout
         for depth in depths:
             cfg = CodecConfig(system=system, depth=depth, convention=args.convention, parts=parts)
-            jobs.append((cloud.points, cfg, args.peak))
+            jobs.append((cloud.points, cfg, mcfg))
     with _stage(stages, "bench"):
         if args.workers > 1:
             from concurrent.futures import ProcessPoolExecutor

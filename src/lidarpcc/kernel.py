@@ -1,21 +1,24 @@
-"""The part coder: ``part_kernel.c`` built on first use and called through ctypes, or its Python twins.
+"""The compiled kernel, ``part_kernel.c`` built on first use and called through ctypes, or its Python twins.
 
 Per part the codec calls :func:`lattice_codes` (points to leaf Morton codes),
 sorts and deduplicates the codes, then calls :func:`encode_part` (leaf codes
 to symbol count and payload), or on decode :func:`decode_part` (payload to
 leaf codes) and :func:`leaf_points` (leaf codes to voxel centres). A lone
 part is coded in two halves of its rows on two threads: :func:`lattice_rows`
-fills its codes range by range. This module alone chooses the implementation.
-:func:`load` compiles the C source with the system ``cc`` into a per-user
-cache the first time a call asks for it; without a compiler, or without a
-cache directory private to the user, it returns None and every call but
-:func:`lattice_rows` runs its Python twin: ``coords``' numpy lattice chain,
-the numpy de-interleave and ``coords.lattice_points``, and the per-node
+fills its codes range by range. The metrics call one function more,
+:func:`neighbour_covariances`, the covariance of each reference point's
+neighbourhood for the D2 normals. This module alone chooses the
+implementation. :func:`load` compiles the C source with the system ``cc``
+into a per-user cache the first time a call asks for it; without a compiler,
+or without a cache directory private to the user, it returns None and every
+call but :func:`lattice_rows` runs its Python twin: ``coords``' numpy lattice
+chain, the numpy de-interleave and ``coords.lattice_points``, the per-node
 coder (``_encode_per_node``, which builds the octree with ``octree._levels``,
-and ``_decode_per_node``). The twins give the same bits and raise the same
-errors; the coder runs 100 to 300 times slower per symbol (README, *Speed*).
-Kernel calls release the GIL, so parts, and a lone part's halves, can be
-coded on two threads.
+and ``_decode_per_node``), and the numpy gather, centre and ``einsum``
+(``_gathered_covariances``). The twins give the same bits and raise the same
+errors; the coder runs 100 to 300 times slower per symbol, the covariances
+15 to 20 times slower (README, *Speed*). Kernel calls release the GIL, so parts, a
+lone part's halves and the normal fit's blocks run on two threads.
 """
 
 from __future__ import annotations
@@ -53,8 +56,10 @@ SOURCE = Path(__file__).with_name("part_kernel.c")
 CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC", "-lm")
 
 # error codes of part_kernel.c
-_EXHAUSTED, _DESYNC, _COUNT_INSIDE, _COUNT_EXCEEDS, _NOMEM, _CAPACITY, _SHAPE, _LEAVES, _RADIUS = range(-1, -10, -1)
+(_EXHAUSTED, _DESYNC, _COUNT_INSIDE, _COUNT_EXCEEDS, _NOMEM, _CAPACITY, _SHAPE, _LEAVES, _RADIUS,
+ _INDEX) = range(-1, -11, -1)
 _NOT_LEAVES = "{} leaf codes are not a non-empty, sorted, unique set below 8^{}"  # _LEAVES, on either coder
+_NOT_NEIGHBOURS = "neighbour indices must lie in [0, {})"  # _INDEX, on either coder
 
 _u8p = ctypes.POINTER(ctypes.c_uint8)
 _i64p = ctypes.POINTER(ctypes.c_int64)
@@ -67,6 +72,7 @@ _SIGNATURES = {
     "decode_part": [_u8p, ctypes.c_int64, ctypes.c_int, ctypes.c_int64, _u8p, _i64p],
     "leaf_codes": [_u8p, ctypes.c_int, _i64p, ctypes.c_int64],
     "code_points": [_i64p, ctypes.c_int64, _f64p, _f64p, _f64p],
+    "neighbour_covariances": [_f64p, ctypes.c_int64, _i64p, ctypes.c_int64, ctypes.c_int64, _f64p],
 }
 
 
@@ -303,6 +309,44 @@ def leaf_points(codes: np.ndarray, steps: coords.QuantSteps) -> np.ndarray:
     if done != len(codes):
         raise RuntimeError(f"part kernel failed with code {done}")
     return out if cartesian else coords.untransform_points(out, steps)
+
+
+def neighbour_covariances(points: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The (rows, 3, 3) covariance of each neighbourhood ``points[idx[r]]`` of the (rows, k) indices ``idx``.
+
+    The covariances equal :func:`_gathered_covariances`' bit for bit: the
+    kernel reads the (N, 3) points in place, sums in numpy's order and makes
+    no (rows, k, 3) gather. An index outside [0, N) raises IndexError, on the
+    kernel before any point is read; so does a negative one, which numpy's
+    indexing would take from the end.
+    """
+    points = _rows(points)
+    idx = np.asarray(idx)
+    if idx.ndim != 2 or idx.shape[1] < 1 or not np.issubdtype(idx.dtype, np.integer):
+        raise ValueError(f"neighbour indices must be (rows, k >= 1) integers, got {idx.dtype} {idx.shape}")
+    idx = np.ascontiguousarray(idx, dtype=np.int64)
+    lib = load()
+    if lib is None:
+        return _gathered_covariances(points, idx)
+    cov = np.empty((len(idx), 3, 3))
+    done = lib.neighbour_covariances(_ptr(points, _f64p), len(points), _ptr(idx, _i64p), *idx.shape,
+                                     _ptr(cov, _f64p))
+    if done == _INDEX:
+        raise IndexError(_NOT_NEIGHBOURS.format(len(points)))
+    if done != len(idx):
+        raise RuntimeError(f"part kernel failed with code {done}")
+    return cov
+
+
+def _gathered_covariances(points: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The numpy covariances: the (rows, k, 3) gather, centred in place, then ``einsum`` and a divide by k."""
+    if idx.size and not (idx.min() >= 0 and idx.max() < len(points)):
+        raise IndexError(_NOT_NEIGHBOURS.format(len(points)))
+    nbh = points[idx]
+    nbh -= nbh.mean(axis=1, keepdims=True)
+    cov = np.einsum("nki,nkj->nij", nbh, nbh)
+    cov /= idx.shape[1]
+    return cov
 
 
 def _encode_per_node(codes: np.ndarray, depth: int) -> tuple[int, bytes]:

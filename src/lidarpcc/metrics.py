@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
+from . import kernel
 from .errors import MetricError, check_finite_positive
 from .pcio import PointCloud
 from .threads import on_two_threads
@@ -44,7 +45,7 @@ class MetricConfig:
 
 
 def _points(cloud) -> np.ndarray:
-    pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=np.float64)
+    pts = cloud.points if isinstance(cloud, PointCloud) else np.ascontiguousarray(cloud, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) == 0:
         raise MetricError("need a non-empty (N, 3) cloud")
     return pts
@@ -78,8 +79,8 @@ def d1_psnr(ref, rec, cfg: MetricConfig = MetricConfig()) -> float:
     return _psnr(_d1_mse(d_ab, d_ba), cfg)
 
 
-# Reference rows per normal-fit block: the (rows, k, 3) gather stays a few MB
-# whatever the cloud's size.
+# Reference rows per normal-fit block: its k-NN indices and covariances, and
+# the numpy twin's (rows, k, 3) gather, stay a few MB whatever the cloud's size.
 _BLOCK_ROWS = 32768
 
 
@@ -91,20 +92,8 @@ def _neighbours(tree: cKDTree, query: np.ndarray, k: int) -> np.ndarray:
 
 
 def _fit_normals(points: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Plane normals of the neighbourhoods ``points[idx]``.
-
-    Pass ``idx`` as a temporary: the gather drops the last reference to it.
-    The neighbourhoods are centred in place, so no second (N, k, 3) array is
-    made.
-    """
-    k = idx.shape[1]
-    nbh = points[idx]
-    del idx
-    nbh -= nbh.mean(axis=1, keepdims=True)
-    cov = np.einsum("nki,nkj->nij", nbh, nbh)
-    del nbh
-    cov /= k
-    evals, evecs = np.linalg.eigh(cov)
+    """Plane normals of the neighbourhoods ``points[idx]``: each covariance's eigenvector of least eigenvalue."""
+    evals, evecs = np.linalg.eigh(kernel.neighbour_covariances(points, idx))
     normals = evecs[..., 0]
     degenerate = evals[..., 1] <= 1e-12 * np.maximum(evals[..., 2], 1e-300)
     return normals, degenerate
@@ -113,7 +102,7 @@ def _fit_normals(points: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.nd
 def _normals(tree: cKDTree, points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """:func:`estimate_normals` of ``points``, the cloud ``tree`` was built on.
 
-    Each block of :data:`_BLOCK_ROWS` rows is queried, gathered and fitted on
+    Each block of :data:`_BLOCK_ROWS` rows is queried and fitted on
     its own and written into the result, the even blocks on the calling
     thread and the odd ones on a helper (:func:`threads.on_two_threads`). The
     arithmetic of each row is that of one fit over all rows, so the result is

@@ -1,4 +1,5 @@
-/* One radial part, from its points to its range-coded occupancy stream and back.
+/* The codec's hot path, one radial part from its points to its range-coded
+ * occupancy stream and back, and the covariances of the D2 metric's normals.
  *
  * lattice_codes turns a part's coordinate columns into one leaf Morton code
  * per point, with coords._lattice_indices' float64 arithmetic and
@@ -11,9 +12,15 @@
  * index * step + offset rounds twice, as in numpy). The coder
  * is the compiled twin of the per-node Python coder, kernel._encode_per_node
  * and kernel._decode_per_node: an entropy.AdaptiveContextModel over the
- * contexts of octree.ContextCursor. FORMAT.md specifies the bits. Every buffer
- * belongs to the caller; the functions return a count, or a negative error
- * code with details in info[0..1], and never write past a buffer's capacity.
+ * contexts of octree.ContextCursor. FORMAT.md specifies the bits.
+ *
+ * neighbour_covariances serves metrics, not the codec: the 3 x 3 covariance
+ * of each reference point's k nearest neighbours, which metrics._fit_normals
+ * hands to numpy's eigh, summed in numpy's order.
+ *
+ * Every buffer belongs to the caller; the functions return a count, or a
+ * negative error code with details in info[0..1], and never write past a
+ * buffer's capacity.
  */
 #include <math.h>
 #include <stdint.h>
@@ -32,9 +39,10 @@ enum {
     ERR_COUNT_EXCEEDS = -4, /* info[0]: nodes the tree holds */
     ERR_NOMEM = -5,
     ERR_CAPACITY = -6,     /* encoder output buffer too small */
-    ERR_SHAPE = -7,        /* a depth out of range, or leaves that disagree with a tree */
+    ERR_SHAPE = -7,        /* a depth out of range, leaves that disagree with a tree, or k < 1 neighbours */
     ERR_LEAVES = -8,       /* leaf codes not sorted, unique and below 8^depth */
     ERR_RADIUS = -9,       /* a radial index past the 2^depth lattice */
+    ERR_INDEX = -10,       /* a neighbour index outside the points */
 };
 
 /* Fenwick tree over f_s = n_s + 1 (slot 0 unused) and raw counts n_s (slot 0:
@@ -345,4 +353,47 @@ int64_t code_points(const int64_t *codes, int64_t n, const double *step, const d
         for (int k = 0; k < 3; k++)
             out[3 * i + k] = (double)compact((uint64_t)codes[i] >> (2 - k)) * step[k] + offset[k];
     return n;
+}
+
+/* The 3 x 3 covariance of each of rows neighbourhoods, into cov (rows x 9).
+ * Row r's neighbours are points[idx[r * k + j]], j = 0..k-1, of the n_points
+ * rows of three in points. Every index is checked before any point is read:
+ * one outside [0, n_points) returns ERR_INDEX. The sums follow numpy's order,
+ * so the covariances equal the gather, centre and einsum of
+ * kernel._gathered_covariances bit for bit: each axis's mean sums from +0.0
+ * in neighbour order, then divides by k; each of the 9 entries (a, b) sums
+ * (p[a] - m[a]) * (p[b] - m[b]) from +0.0 in neighbour order, then divides
+ * by k. The sums are named locals, not arrays, so they stay in registers.
+ * Returns rows. */
+int64_t neighbour_covariances(const double *points, int64_t n_points, const int64_t *idx, int64_t rows,
+                              int64_t k, double *cov) {
+    if (rows < 0 || k < 1) return ERR_SHAPE;
+    for (int64_t i = 0; i < rows * k; i++)
+        if (idx[i] < 0 || idx[i] >= n_points) return ERR_INDEX;
+    for (int64_t r = 0; r < rows; r++) {
+        const int64_t *nb = idx + r * k;
+        double mx = 0.0, my = 0.0, mz = 0.0;
+        for (int64_t j = 0; j < k; j++) {
+            const double *p = points + 3 * nb[j];
+            mx += p[0];
+            my += p[1];
+            mz += p[2];
+        }
+        mx /= (double)k;
+        my /= (double)k;
+        mz /= (double)k;
+        double xx = 0.0, xy = 0.0, xz = 0.0, yx = 0.0, yy = 0.0, yz = 0.0, zx = 0.0, zy = 0.0, zz = 0.0;
+        for (int64_t j = 0; j < k; j++) {
+            const double *p = points + 3 * nb[j];
+            double x = p[0] - mx, y = p[1] - my, z = p[2] - mz;
+            xx += x * x, xy += x * y, xz += x * z;
+            yx += y * x, yy += y * y, yz += y * z;
+            zx += z * x, zy += z * y, zz += z * z;
+        }
+        double *c = cov + 9 * r;
+        c[0] = xx / (double)k, c[1] = xy / (double)k, c[2] = xz / (double)k;
+        c[3] = yx / (double)k, c[4] = yy / (double)k, c[5] = yz / (double)k;
+        c[6] = zx / (double)k, c[7] = zy / (double)k, c[8] = zz / (double)k;
+    }
+    return rows;
 }

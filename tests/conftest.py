@@ -4,9 +4,11 @@
 kernel, so the codec's calls per part run their Python twins across the whole
 suite: ``kernel.lattice_codes`` the numpy lattice chain,
 ``kernel.leaf_points`` the numpy de-interleave and ``coords.lattice_points``,
-and ``kernel.encode_part`` (leaf codes to symbol count and payload) and
+``kernel.encode_part`` (leaf codes to symbol count and payload) and
 ``kernel.decode_part`` (payload to leaf codes) the per-node Python coder,
-``kernel._encode_per_node``/``kernel._decode_per_node``. The default, ``auto``, uses the kernel whenever it builds.
+``kernel._encode_per_node``/``kernel._decode_per_node``, and the metrics'
+``kernel.neighbour_covariances`` the numpy gather, centre and ``einsum``,
+``kernel._gathered_covariances``. The default, ``auto``, uses the kernel whenever it builds.
 The report header, or under ``-q`` the summary, names the session's coder.
 Commands run in subprocesses load the kernel as usual either way; CI runs the
 console script once more with ``cc`` off ``PATH`` to cover the fallback there.

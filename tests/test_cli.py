@@ -459,3 +459,27 @@ def test_exit_codes(scan, tmp_path):
     proc = run("decode", enc, tmp_path / "t.ply")
     assert proc.returncode == 3
     assert "corrupt stream" in proc.stderr
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("1,30\nx,35\n4,40\n8,45\n", "data row 2, column 'bpp': 'x' is not a number"),
+    ("1,30\n2,35\n4,forty\n8,45\n", "data row 3, column 'd1_db': 'forty' is not a number"),
+    ("1,30\n2,35\n4,40\n,45\n", "data row 4, column 'bpp': '' is not a number"),
+    ("1,30\n2\n4,40\n8,45\n", "data row 2 has no 'd1_db' value"),
+], ids=["rate-not-a-number", "distortion-not-a-number", "empty-rate", "short-row"])
+def test_bdrate_refuses_a_cell_that_is_not_a_number(made, tmp_path, capsys, rows, message):
+    # these ended in a ValueError or TypeError traceback and exit 1
+    bad = tmp_path / "bad.csv"
+    bad.write_text("bpp,d1_db\n" + rows)
+    for argv in ([made / "anchor.csv", bad], [bad, made / "anchor.csv"]):
+        assert cli.main(["bdrate", *map(str, argv)]) == 2
+        assert capsys.readouterr() == ("", f"lidarpcc: error: {bad}: {message}\n")
+
+
+def test_bench_refuses_a_peak_before_it_codes_a_row(scan, tmp_path, capsys, monkeypatch):
+    # the metric config was built per row, so the first row was encoded and decoded before --peak nan was refused
+    monkeypatch.setattr(cli, "encode_cloud", lambda *args: pytest.fail("bench coded a row"))
+    out = tmp_path / "b.csv"
+    assert cli.main(["bench", str(scan), str(out), "--depths", "8,10", "--peak", "nan"]) == 2
+    assert capsys.readouterr().err == "lidarpcc: error: peak must be finite and positive, got nan\n"
+    assert not out.exists()

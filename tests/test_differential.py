@@ -14,7 +14,9 @@ to ``quantize``'s numpy chain the same way, and the decoder's voxel centres,
 from ``kernel.leaf_points``, to ``coords.lattice_points`` bit for bit. The
 encoder's front end, which ``pipeline_reconstruct`` shares, is held to the
 public ``resolve_step``, ``derive_steps`` and ``part_assignment``: the same
-header fields and parts, or the same refusal.
+header fields and parts, or the same refusal. The metrics' one kernel call,
+``kernel.neighbour_covariances``, is held to its numpy gather, centre and
+``einsum`` bit for bit.
 """
 
 import functools
@@ -423,6 +425,43 @@ def _payload_or_error(codes, depth):
         return kernel.encode_part(codes, depth)
     except ValueError as exc:
         return f"ValueError: {exc}"
+
+
+@st.composite
+def neighbourhoods(draw):
+    """Points and (rows, k) neighbour indices: ±0 and large coordinates, repeated points and indices, k past 64, no rows."""
+    n = draw(st.integers(1, 12), label="points")
+    coordinate = st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e15 + 0.125, -1e300, 1e300]) | st.floats(-1e6, 1e6)
+    rows = draw(st.lists(st.tuples(coordinate, coordinate, coordinate), min_size=n, max_size=n), label="rows")
+    shape = draw(st.sampled_from(["as drawn", "all -0.0", "one point repeated"]), label="shape")
+    if shape == "all -0.0":
+        rows = [(-0.0, -0.0, -0.0)] * n
+    elif shape == "one point repeated":
+        rows = rows[:1] * n
+    k = draw(st.sampled_from([1, 12, 65, 130]) | st.integers(1, 20), label="k")
+    count = draw(st.integers(0, 6), label="neighbourhoods")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    idx = rng.integers(0, n, size=(count, k))
+    if count and draw(st.booleans(), label="one index repeated"):
+        idx[0] = idx[0, 0]
+    return np.array(rows), idx
+
+
+def _covariance_bits(points, idx) -> list:
+    with np.errstate(over="ignore", invalid="ignore"):  # 1e300² overflows, and ∞ − ∞ is NaN, alike on both
+        return kernel.neighbour_covariances(points, idx).view(np.int64).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(neighbourhoods())
+def test_neighbour_covariances_match_the_numpy_gather(case):
+    # the kernel's one pass over the points, in numpy's order of sums, gives the
+    # gather, centre and einsum's covariances bit for bit, signs of zero and NaNs included
+    points, idx = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        reference = kernel._gathered_covariances(points, idx)
+    assert reference.shape == (len(idx), 3, 3)
+    assert on_both_coders(_covariance_bits, points, idx) == reference.view(np.int64).tolist()
 
 
 # ---------------------------------------------------------------------------

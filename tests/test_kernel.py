@@ -163,3 +163,40 @@ def test_lattice_codes_take_integer_steps_as_doubles():
     steps = QuantSteps(CARTESIAN, 1, 0, 0, 16, 4, 0, (0, -2, 0))
     expected = kernel.lattice_codes(points, dataclasses.replace(steps, q_primary=1.0))
     assert kernel.lattice_codes(points, steps).tolist() == expected.tolist()
+
+
+def test_covariances_refuse_neighbours_outside_the_points(monkeypatch):
+    # numpy's indexing would take −1 from the end; both coders refuse it, and N, with one message
+    points = np.arange(12.0).reshape(4, 3)
+    for python_coder in (False, True):  # the kernel first, when it loads
+        if python_coder:
+            monkeypatch.setattr(kernel, "load", lambda: None)
+        for bad in (-1, 4):
+            idx = np.zeros((3, 2), dtype=np.int64)
+            idx[-1, -1] = bad
+            with pytest.raises(IndexError, match=r"^neighbour indices must lie in \[0, 4\)$"):
+                kernel.neighbour_covariances(points, idx)
+        for idx in (np.zeros((3, 0), dtype=np.int64), np.zeros(3, dtype=np.int64), np.zeros((3, 2))):
+            with pytest.raises(ValueError, match="^neighbour indices must be"):
+                kernel.neighbour_covariances(points, idx)
+        with pytest.raises(ValueError, match=re.escape("points must be (N, 3), got (4, 2)")):
+            kernel.neighbour_covariances(np.zeros((4, 2)), np.zeros((1, 1), dtype=np.int64))
+
+
+@needs_cc
+def test_the_kernel_checks_every_neighbour_index_before_it_reads_a_point():
+    lib = kernel.open_kernel()
+    points = np.arange(12.0).reshape(4, 3)
+    for bad in (-1, 4, np.iinfo(np.int64).min, np.iinfo(np.int64).max):
+        idx = np.zeros((3, 2), dtype=np.int64)
+        idx[-1, -1] = bad  # the last index of the last row
+        cov = np.full((3, 3, 3), 7.0)
+        done = lib.neighbour_covariances(kernel._ptr(points, kernel._f64p), len(points),
+                                         kernel._ptr(idx, kernel._i64p), 3, 2, kernel._ptr(cov, kernel._f64p))
+        assert done == kernel._INDEX
+        assert (cov == 7.0).all()  # no row was fitted before that index was checked
+    # with no points every index is outside, and the NULL points are never read
+    idx = np.zeros((2, 12), dtype=np.int64)
+    assert lib.neighbour_covariances(None, 0, kernel._ptr(idx, kernel._i64p), 2, 12, None) == kernel._INDEX
+    assert lib.neighbour_covariances(None, 0, None, 0, 12, None) == 0  # no rows: nothing to check or read
+    assert lib.neighbour_covariances(None, 0, None, 1, 0, None) == kernel._SHAPE

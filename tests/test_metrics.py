@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from lidarpcc import metrics
+from lidarpcc import kernel, metrics
 from lidarpcc.errors import MetricError
 from lidarpcc.metrics import (
     MEAN_L2,
@@ -206,6 +206,12 @@ def test_compute_report_equals_the_separate_metrics(case):
             normals, degenerate = estimate_normals(ref, cfg.knn_k)
         np.testing.assert_array_equal(normals, one_shot[0])
         np.testing.assert_array_equal(degenerate, one_shot[1])
+    # the numpy covariances, which the Python coder runs, give the kernel's normals bit for bit
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "load", lambda: None)
+        numpy_normals, numpy_degenerate = estimate_normals(ref, cfg.knn_k)
+    assert numpy_normals.tobytes() == one_shot[0].tobytes()
+    assert numpy_degenerate.tobytes() == one_shot[1].tobytes()
     assert not [t.name for t in threading.enumerate() if t.name.startswith("lidarpcc-")]
 
 
