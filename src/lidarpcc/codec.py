@@ -17,8 +17,8 @@ part for the helper, so it cuts that part's rows in two halves instead: each
 thread fills, sorts and deduplicates its half's leaf codes, and the two
 sorted runs are merged once. A Cartesian box is measured on two threads too,
 its minima on the calling thread and its maxima on a helper of its own.
-rho_max, q and the header depth fully determine the quantization lattice;
-decoding is deterministic with no side state.
+rho_max, q, the origin and the header depth fully determine the
+quantization lattice; decoding is deterministic with no side state.
 """
 
 from __future__ import annotations
@@ -223,7 +223,6 @@ class Container:
     thresholds: tuple  # t_0..t_{N−1}; the closing 1.0 is implicit
     parts: tuple
     original_count: int
-    version: int = VERSION
 
     @property
     def n_parts(self) -> int:
@@ -237,7 +236,7 @@ class Container:
         head = bytearray()
         head += MAGIC
         head += struct.pack(
-            "<BBBB", self.version, _SYSTEM_CODE[self.system], self.depth, self.n_parts
+            "<BBBB", VERSION, _SYSTEM_CODE[self.system], self.depth, self.n_parts
         )
         head += struct.pack("<dd", self.q, self.rho_max)
         head += struct.pack("<3d", *self.origin_offset)
@@ -250,7 +249,8 @@ class Container:
 
     @property
     def nbytes(self) -> int:
-        return len(self.to_bytes())
+        """``len(self.to_bytes())`` without packing: header, thresholds, each part's record and payload, count."""
+        return 48 + 4 * self.n_parts + sum(17 + len(p.payload) for p in self.parts) + 8
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "Container":
@@ -298,12 +298,12 @@ class Container:
             raise CorruptStreamError(f"{len(blob) - off} trailing bytes after container end")
         return cls(
             _SYSTEM_NAME[system_code], depth, q, rho_max, origin, thresholds,
-            tuple(parts), original_count, version,
+            tuple(parts), original_count,
         )
 
 
 def _header_lattice(cloud: PointCloud, cfg: CodecConfig) -> tuple[QuantSteps, tuple, np.ndarray | None]:
-    """The header's base steps and thresholds, refused unless they decode, and each point's part (None for one).
+    """The header's base steps and f32 thresholds, refused unless they decode, and each point's part (None for one).
 
     It measures the cloud once: Cartesian, its box (:func:`_bounding_box`); an
     angle system, its radii, only for rho_max or several parts. The step,
@@ -320,9 +320,9 @@ def _header_lattice(cloud: PointCloud, cfg: CodecConfig) -> tuple[QuantSteps, tu
             radii = radial_coord(cloud.points, cfg.system)
         rho_max = float(radii.max()) if cfg.rho_max is None else cfg.rho_max
         steps = angle_steps(cfg.system, _step(cfg, rho_max), rho_max, cloud.points)
-    thresholds = cfg.parts.thresholds[: cfg.parts.n_parts]
-    fault = _header_fault(cfg.system, steps.depth, steps.q_primary, steps.rho_max, steps.origin_offset,
-                          np.asarray(thresholds, dtype=np.float32).tolist())  # as the header stores them
+    # as the header stores them; the split keeps the config's float64 edges
+    thresholds = tuple(np.asarray(cfg.parts.thresholds[: cfg.parts.n_parts], dtype=np.float32).tolist())
+    fault = _header_fault(cfg.system, steps.depth, steps.q_primary, steps.rho_max, steps.origin_offset, thresholds)
     if fault:
         raise ConfigError(f"configuration gives an undecodable header: {fault}")
     return steps, thresholds, part_assignment(radii, cfg.parts, steps.rho_max) if cfg.parts.n_parts > 1 else None
@@ -447,12 +447,11 @@ def decode_cloud(container: Container) -> PointCloud:
     return PointCloud(np.concatenate(chunks, axis=0))
 
 
-def measure_bpp(container: Container, original_count: int | None = None) -> float:
+def measure_bpp(container: Container) -> float:
     """Bits per original point, container header included."""
-    count = container.original_count if original_count is None else original_count
-    if count <= 0:
+    if container.original_count <= 0:
         raise ValueError("original point count must be positive")
-    return 8.0 * container.nbytes / count
+    return 8.0 * container.nbytes / container.original_count
 
 
 def pipeline_reconstruct(cloud: PointCloud, cfg: CodecConfig) -> tuple[np.ndarray, np.ndarray, QuantSteps]:

@@ -3,8 +3,9 @@
 Conventions: θ = atan2(y, x) mapped into [0, 2π); φ = arccos(z/ρ) ∈ [0, π];
 the origin maps to (ρ, θ, φ) = (0, 0, 0). Radial and Cartesian axes use the
 primary step q; angles use q_θ = 2π/(b−1) and q_φ = π/(b−1) where
-b = ⌈ρ_max/q⌉ radial bins. Indices are round-to-nearest and reconstruct at
-index·step, so each axis is off by at most half a step.
+b = ⌈ρ_max/q⌉ radial bins. Every system applies the header's origin by one
+rule: indices are round-to-nearest of (coordinate − origin)/step, and
+reconstruct at index·step + origin, so each axis is off by at most half a step.
 """
 
 from __future__ import annotations
@@ -211,32 +212,31 @@ def _index_depth(q: float, top: float) -> int:
     return max(1, int(top).bit_length())
 
 
-# Offsets, steps and index·step are applied one column at a time: broadcasting
+# Origins, steps and index·step are applied one column at a time: broadcasting
 # a 3-vector over an (N, 3) array runs numpy's inner loop N times over 3
 # elements. Each element sees the same IEEE operation either way, so the bits
-# are those of ``coords - offset[None, :]``, ``coords / step[None, :]`` and
-# ``idx * step[None, :]``.
+# are those of ``coords - origin[None, :]``, ``coords / step[None, :]`` and
+# ``idx * step[None, :] + origin[None, :]``.
 
 
-def _coordinate_columns(points: np.ndarray, steps: QuantSteps) -> list:
-    """The system's offset-corrected coordinates of Cartesian points, one array per axis."""
-    if steps.system == SPHERICAL:
-        return list(_sph_columns(points))
-    columns = _cyl_columns(points) if steps.system == CYLINDRICAL else np.asarray(points, dtype=np.float64).T
-    return [column - offset for column, offset in zip(columns, steps.offset_vector())]
+def _system_columns(points: np.ndarray, system: str) -> tuple:
+    """The system's coordinates of Cartesian points, one array per axis, before the origin is subtracted."""
+    if system == SPHERICAL:
+        return _sph_columns(points)
+    if system == CYLINDRICAL:
+        return _cyl_columns(points)
+    return tuple(np.asarray(points, dtype=np.float64).T)
+
+
+def system_to_cart(coords: np.ndarray, system: str) -> np.ndarray:
+    """The system's (N, 3) coordinate triples → Cartesian points: the inverse of :func:`_system_columns`."""
+    return {SPHERICAL: sph_to_cart, CYLINDRICAL: cyl_to_cart}.get(system, np.asarray)(coords)
 
 
 def transform_points(points: np.ndarray, steps: QuantSteps) -> np.ndarray:
-    """Cartesian points → the system's (offset-corrected) coordinate triples."""
-    return np.stack(_coordinate_columns(points, steps), axis=-1)
-
-
-def untransform_points(coords: np.ndarray, steps: QuantSteps) -> np.ndarray:
-    """Inverse of :func:`transform_points`."""
-    if steps.system == SPHERICAL:
-        return sph_to_cart(coords)
-    shifted = np.stack([coords[:, k] + offset for k, offset in enumerate(steps.offset_vector())], axis=-1)
-    return cyl_to_cart(shifted) if steps.system == CYLINDRICAL else shifted
+    """Cartesian points → the system's coordinate triples less the origin: what the lattice divides by its steps."""
+    columns = _system_columns(points, steps.system)
+    return np.stack([column - origin for column, origin in zip(columns, steps.offset_vector())], axis=-1)
 
 
 def radius_past_lattice(rho_max: float, radii: np.ndarray) -> ConfigError:
@@ -245,19 +245,19 @@ def radius_past_lattice(rho_max: float, radii: np.ndarray) -> ConfigError:
 
 
 def _lattice_indices(points: np.ndarray, steps: QuantSteps) -> np.ndarray:
-    """Per-point index triples: transform, round to nearest, clip into the 2^D cube.
+    """Per-point index triples: transform, subtract the origin, divide by the step, round, clip into the 2^D cube.
 
     Ratios are rounded and clipped in float64 before the cast to int64, so an
     index past int64's range clips too. :func:`derive_steps` sizes the cube to
     hold every index of a cloud within ``rho_max``; a radius whose index lands
     beyond it is refused, not clipped to the outermost radial bin.
     """
-    columns = _coordinate_columns(points, steps)
+    columns = _system_columns(points, steps.system)
     hi = (1 << steps.depth) - 1
     idx = np.empty((len(columns[0]), 3), dtype=np.int64)
-    for k, (column, step) in enumerate(zip(columns, steps.step_vector())):
-        ratio = column / step
-        np.round(ratio, out=ratio)
+    for k, (column, origin, step) in enumerate(zip(columns, steps.offset_vector(), steps.step_vector())):
+        ratio = column - origin
+        np.round(np.divide(ratio, step, out=ratio), out=ratio)
         if k == 0 and steps.system != CARTESIAN and ratio.max(initial=0) > hi:
             raise radius_past_lattice(steps.rho_max, columns[0])
         idx[:, k] = np.clip(ratio, 0, hi, out=ratio)
@@ -265,9 +265,9 @@ def _lattice_indices(points: np.ndarray, steps: QuantSteps) -> np.ndarray:
 
 
 def lattice_points(idx: np.ndarray, steps: QuantSteps) -> np.ndarray:
-    """Cartesian voxel centres of (N, 3) index triples: index·step per axis, then :func:`untransform_points`."""
-    coords = np.stack([idx[:, k] * step for k, step in enumerate(steps.step_vector())], axis=-1)
-    return untransform_points(coords, steps)
+    """Cartesian voxel centres of (N, 3) index triples: index·step + origin per axis, then :func:`system_to_cart`."""
+    axes = enumerate(zip(steps.step_vector(), steps.offset_vector()))
+    return system_to_cart(np.stack([idx[:, k] * step + origin for k, (step, origin) in axes], axis=-1), steps.system)
 
 
 def quantize(cloud: PointCloud, steps: QuantSteps) -> QuantizedCloud:

@@ -3,7 +3,8 @@
 Per part the codec calls :func:`lattice_codes` (points to leaf Morton codes),
 sorts and deduplicates the codes, then calls :func:`encode_part` (leaf codes
 to symbol count and payload), or on decode :func:`decode_part` (payload to
-leaf codes) and :func:`leaf_points` (leaf codes to voxel centres). A lone
+leaf codes) and :func:`leaf_points` (leaf codes to voxel centres). The lattice
+calls subtract the header's origin and add it back, in every system. A lone
 part is coded in two halves of its rows on two threads: :func:`lattice_rows`
 fills its codes range by range. The metrics call one function more,
 :func:`neighbour_covariances`, the covariance of each reference point's
@@ -182,8 +183,8 @@ def lattice_codes(points: np.ndarray, steps: coords.QuantSteps) -> np.ndarray:
     The codes equal ``_interleave(coords._lattice_indices(points, steps), depth)``,
     and an angle-system radius past the lattice raises its ConfigError, word
     for word. The angle systems' coordinates come from numpy's trig either way;
-    the kernel takes over the offset, divide, round, clip and interleave, and
-    reads Cartesian points in place.
+    the kernel takes over the origin, divide, round, clip and interleave for
+    every system, and reads Cartesian points in place.
     """
     if load() is not None:
         codes, fill = lattice_rows(points, steps)
@@ -198,19 +199,19 @@ def lattice_rows(points: np.ndarray, steps: coords.QuantSteps):
 
     ``codes`` is an int64 array with a slot per row, and ``fill(start, stop)``
     writes the codes of rows [start, stop) into ``codes[start:stop]``; ranges
-    may be filled on different threads. The coordinates are computed once, for
-    every row, before any range is filled, so a row's code does not depend on
-    the range it is filled in, and a radius past the lattice in any range
-    raises the refusal that names the maximum radius of all the rows.
+    may be filled on different threads. The system's coordinates are computed
+    once, for every row, before any range subtracts the origin from them, so
+    a row's code does not depend on the range it is filled in, and a radius
+    past the lattice in any range raises the refusal that names the maximum
+    radius of all the rows.
     """
     _check_depth(steps.depth)
     points = _rows(points)
     lib = load()
-    if steps.system == coords.CARTESIAN:  # read in place, one row of three apart
-        columns, stride, offset = list(points.T), 3, steps.offset_vector()
-    else:  # the columns carry their offset already
-        columns = [np.ascontiguousarray(c, dtype=np.float64) for c in coords._coordinate_columns(points, steps)]
-        stride, offset = 1, np.zeros(3)
+    columns, stride = list(points.T), 3  # Cartesian points read in place, one row of three apart
+    if steps.system != coords.CARTESIAN:
+        columns, stride = [np.ascontiguousarray(c) for c in coords._system_columns(points, steps.system)], 1
+    offset = steps.offset_vector()
     codes = np.empty(len(points), dtype=np.int64)
     step = np.ascontiguousarray(steps.step_vector(), dtype=np.float64)  # a QuantSteps may hold integer steps
 
@@ -293,22 +294,20 @@ def leaf_points(codes: np.ndarray, steps: coords.QuantSteps) -> np.ndarray:
     """Cartesian voxel centres of a part's leaf Morton codes, (N, 3) float64, in code order.
 
     The points equal ``coords.lattice_points(_deinterleave(codes, depth), steps)``
-    bit for bit. The kernel de-interleaves and writes index·step, plus the
-    offset for Cartesian points; the angle systems' offset and trig stay
-    numpy's (``coords.untransform_points``).
+    bit for bit. The kernel de-interleaves and writes index·step + origin; the
+    angle systems' trig stays numpy's (``coords.system_to_cart``).
     """
     lib = load()
     if lib is None:
         return coords.lattice_points(_deinterleave(codes, steps.depth), steps)
     codes = np.ascontiguousarray(codes, dtype=np.int64)
-    cartesian = steps.system == coords.CARTESIAN
-    offset = steps.offset_vector() if cartesian else np.zeros(3)  # + 0.0 leaves index·step ≥ +0 as it is
+    offset = steps.offset_vector()
     step = np.ascontiguousarray(steps.step_vector(), dtype=np.float64)
     out = np.empty((len(codes), 3))
     done = lib.code_points(_ptr(codes, _i64p), len(codes), _ptr(step, _f64p), _ptr(offset, _f64p), _ptr(out, _f64p))
     if done != len(codes):
         raise RuntimeError(f"part kernel failed with code {done}")
-    return out if cartesian else coords.untransform_points(out, steps)
+    return coords.system_to_cart(out, steps.system)
 
 
 def neighbour_covariances(points: np.ndarray, idx: np.ndarray) -> np.ndarray:

@@ -196,8 +196,10 @@ class RDCurve:
 
     def __post_init__(self):
         pts = tuple((float(r), float(d)) for r, d in self.points)
-        for r, _ in pts:
+        for r, d in pts:
             check_finite_positive("RD rate", r, MetricError)
+            if not d > -math.inf:  # +∞ is the PSNR of a zero MSE; NaN and −∞ are no distortion
+                raise MetricError(f"RD distortion must be finite or +inf, got {d}")
         object.__setattr__(self, "points", pts)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:

@@ -9,9 +9,10 @@
  * symbols, leaf_codes expands them to the leaves' Morton codes by their set
  * bits, and code_points turns those codes back into lattice coordinates with
  * coords.lattice_points' float64 arithmetic (built with -ffp-contract=off, so
- * index * step + offset rounds twice, as in numpy). The coder
- * is the compiled twin of the per-node Python coder, kernel._encode_per_node
- * and kernel._decode_per_node: an entropy.AdaptiveContextModel over the
+ * index * step + offset rounds twice, as in numpy). Both take the header's
+ * origin as their offset, in every coordinate system. The coder is the
+ * compiled twin of the per-node Python coder, kernel._encode_per_node and
+ * kernel._decode_per_node: an entropy.AdaptiveContextModel over the
  * contexts of octree.ContextCursor. FORMAT.md specifies the bits.
  *
  * neighbour_covariances serves metrics, not the codec: the 3 x 3 covariance
@@ -347,7 +348,7 @@ static uint64_t compact(uint64_t v) {
 /* Lattice coordinates of n leaf Morton codes, the inverse of lattice_codes:
  * row i of out (n x 3) is index_k * step[k] + offset[k] for the three axes,
  * rounded after the product and after the sum, as coords.lattice_points
- * computes them before any trig. Returns n. */
+ * computes them before the angle systems' trig. Returns n. */
 int64_t code_points(const int64_t *codes, int64_t n, const double *step, const double *offset, double *out) {
     for (int64_t i = 0; i < n; i++)
         for (int k = 0; k < 3; k++)

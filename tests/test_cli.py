@@ -476,6 +476,16 @@ def test_bdrate_refuses_a_cell_that_is_not_a_number(made, tmp_path, capsys, rows
         assert capsys.readouterr() == ("", f"lidarpcc: error: {bad}: {message}\n")
 
 
+@pytest.mark.parametrize("value", ["nan", "-inf"])
+def test_bdrate_refuses_a_distortion_that_is_nan_or_minus_infinity(made, tmp_path, capsys, value):
+    # the row was dropped like a zero MSE's +inf PSNR, and bd_rate_pct was printed from the rows left
+    bad = tmp_path / "bad.csv"
+    bad.write_text((made / "test.csv").read_text() + f"16,{value}\n")
+    for argv in ([made / "anchor.csv", bad], [bad, made / "anchor.csv"]):
+        assert cli.main(["bdrate", *map(str, argv)]) == 2
+        assert capsys.readouterr() == ("", f"lidarpcc: error: RD distortion must be finite or +inf, got {value}\n")
+
+
 def test_bench_refuses_a_peak_before_it_codes_a_row(scan, tmp_path, capsys, monkeypatch):
     # the metric config was built per row, so the first row was encoded and decoded before --peak nan was refused
     monkeypatch.setattr(cli, "encode_cloud", lambda *args: pytest.fail("bench coded a row"))

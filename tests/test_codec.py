@@ -29,12 +29,25 @@ from lidarpcc.coords import (
     CYLINDRICAL,
     SPHERICAL,
     SYSTEMS,
+    cart_to_cyl,
+    cart_to_sph,
+    cyl_to_cart,
     dequantize,
     derive_steps,
+    lattice_steps,
     quantize,
+    reconstruct_points,
+    sph_to_cart,
 )
 from lidarpcc.errors import ConfigError, CorruptStreamError, FormatError
-from lidarpcc.octree import MultiLevelConfig, NodeContext, part_steps, partition_multilevel
+from lidarpcc.octree import (
+    MultiLevelConfig,
+    NodeContext,
+    _deinterleave,
+    _interleave,
+    part_steps,
+    partition_multilevel,
+)
 from lidarpcc.pcio import PointCloud, SynthParams, synth_lidar
 
 ONE_PART = MultiLevelConfig(1, (0.0, 1.0))
@@ -92,6 +105,13 @@ def test_header_survives_serialization():
     assert c2.thresholds == c1.thresholds
     assert c2.original_count == len(cloud)
     assert c2.to_bytes() == c1.to_bytes()
+    # the encoder's thresholds are the f32 values its header stores; 0.3 parsed back as 0.30000001192092896
+    layout = MultiLevelConfig(3, (0.0, 0.3, 0.7, 1.0))
+    for cfg in (cfg, CodecConfig(system=SPHERICAL, q=0.4, parts=layout),
+                CodecConfig(system=CYLINDRICAL, q=0.4, parts=layout), CodecConfig(system=CARTESIAN, q=0.4)):
+        c = encode_cloud(cloud, cfg)
+        assert Container.from_bytes(c.to_bytes()) == c
+        assert c.nbytes == len(c.to_bytes())
 
 
 def test_encoding_is_deterministic():
@@ -170,7 +190,7 @@ def test_original_count_feeds_bpp():
     cloud = _cloud(n=128)
     container = encode_cloud(cloud, CodecConfig(system=SPHERICAL, q=0.5))
     assert measure_bpp(container) == pytest.approx(8.0 * container.nbytes / 128)
-    assert measure_bpp(container, original_count=256) == pytest.approx(
+    assert measure_bpp(dataclasses.replace(container, original_count=256)) == pytest.approx(
         4.0 * container.nbytes / 128
     )
 
@@ -547,6 +567,48 @@ def test_payload_bound_admits_the_cheapest_stream():
 # ---------------------------------------------------------------------------
 
 NAN, INF = math.nan, math.inf
+
+
+# ---------------------------------------------------------------------------
+# the header's origin: subtracted before indexing, added back after index·step, in every system
+# ---------------------------------------------------------------------------
+
+_ORIGIN = (5.0, 0.25, -0.125)  # non-zero on every axis: ρ or x, θ or y, φ or z
+
+
+def _header_steps(system) -> np.ndarray:
+    """Per-axis steps of q = 0.5, rho_max = 20 by FORMAT.md's formulas: b = 40 radial bins."""
+    q_angle = 2 * math.pi / 39
+    return np.array({CARTESIAN: [0.5, 0.5, 0.5], CYLINDRICAL: [0.5, q_angle, 0.5],
+                     SPHERICAL: [0.5, q_angle, math.pi / 39]}[system])
+
+
+def _cartesian(system, coords) -> np.ndarray:
+    return {CARTESIAN: lambda c: c, CYLINDRICAL: cyl_to_cart, SPHERICAL: sph_to_cart}[system](coords)
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_the_decoder_adds_the_header_origin_in_every_system(system):
+    # a spherical header's origin was ignored: a radial origin of 5 moved no decoded radius
+    codes = np.unique(_interleave(np.random.default_rng(3).integers(0, 40, size=(300, 3)), 6))
+    count, payload = kernel.encode_part(codes, 6)
+    container = Container(system, 6, 0.5, 20.0, _ORIGIN, (0.0,), (codec.PartRecord(count, False, payload),), 300)
+    got = decode_cloud(Container.from_bytes(container.to_bytes())).points
+    want = _cartesian(system, np.asarray(_ORIGIN) + _deinterleave(codes, 6) * _header_steps(system))
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_the_lattice_subtracts_the_origin_in_every_system(system):
+    # quantize and the leaf codes ignored the origin of a spherical QuantSteps
+    steps = lattice_steps(system, 0.5, 20.0, 6, _ORIGIN)
+    pts = np.random.default_rng(4).uniform(-11.0, 11.0, size=(500, 3))
+    coords = {CARTESIAN: pts, CYLINDRICAL: cart_to_cyl(pts), SPHERICAL: cart_to_sph(pts)}[system]
+    idx = np.clip(np.round((coords - np.asarray(_ORIGIN)) / _header_steps(system)), 0, 63).astype(np.int64)
+    assert quantize(PointCloud(pts), steps).indices.tolist() == np.unique(idx, axis=0).tolist()
+    np.testing.assert_array_equal(kernel.lattice_codes(pts, steps), _interleave(idx, 6))
+    want = _cartesian(system, np.asarray(_ORIGIN) + idx * _header_steps(system))
+    np.testing.assert_array_equal(reconstruct_points(pts, steps).view(np.uint64), want.view(np.uint64))
 
 
 def _rewritten(system=SPHERICAL, **fields) -> bytes:

@@ -281,7 +281,7 @@ def test_column_arithmetic_matches_the_broadcast_expressions(system):
             steps = dataclasses.replace(steps, origin_offset=(-0.0, 0.0, -0.0))
         offset, step = steps.offset_vector()[None, :], steps.step_vector()[None, :]
         if system == SPHERICAL:
-            coords, back = cart_to_sph(pts), sph_to_cart
+            coords, back = cart_to_sph(pts) - offset, lambda c: sph_to_cart(c + offset)
         elif system == CYLINDRICAL:
             coords, back = cart_to_cyl(pts) - offset, lambda c: cyl_to_cart(c + offset)
         else:
