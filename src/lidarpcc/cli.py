@@ -275,7 +275,10 @@ def cmd_analyze(args, stages) -> RunRecord | None:
     print(f"system={report.system} q={_G % report.q} pairing={report.pairing}")
     print(f"max_error={_G % report.max_error} mean_error={_G % report.mean_error}")
     if report.bound is not None:
-        print(f"bound={_G % report.bound} utilization={_G % report.utilization}")
+        line = f"bound={_G % report.bound}"
+        if report.utilization is not None:  # None when no point counts, e.g. all inside the excluded radius
+            line += f" utilization={_G % report.utilization}"
+        print(line)
     if report.excluded:
         print(f"excluded={report.excluded} inner-radius points from utilization")
     for ps in report.per_part or ():

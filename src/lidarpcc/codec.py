@@ -14,9 +14,10 @@ parts decode in isolation, and one call codes its parts on two threads: its
 own and a helper that it starts and joins, so no thread outlives the call.
 An encode whose points all fall in one part (every Cartesian one) leaves no
 part for the helper, so it cuts that part's rows in two halves instead: each
-thread fills, sorts and deduplicates its half's leaf codes, and the two
-sorted runs are merged once. A Cartesian box is measured on two threads too,
-its minima on the calling thread and its maxima on a helper of its own.
+thread computes, sorts and deduplicates its half's leaf codes, and the two
+sorted runs are merged once. A Cartesian box is measured on two threads too
+(``coords.bounding_box``), its minima on the calling thread and its maxima on
+a helper of its own.
 rho_max, q, the origin and the header depth fully determine the
 quantization lattice; decoding is deterministic with no side state.
 """
@@ -40,9 +41,9 @@ from .coords import (
     angle_steps,
     bounding_box,
     box_steps,
-    column_extremes,
     lattice_steps,
     radial_coord,
+    radius_past_lattice,
     reconstruct_points,
 )
 from .errors import ConfigError, CorruptStreamError, FormatError, check_finite_positive
@@ -305,15 +306,15 @@ class Container:
 def _header_lattice(cloud: PointCloud, cfg: CodecConfig) -> tuple[QuantSteps, tuple, np.ndarray | None]:
     """The header's base steps and f32 thresholds, refused unless they decode, and each point's part (None for one).
 
-    It measures the cloud once: Cartesian, its box (:func:`_bounding_box`); an
-    angle system, its radii, only for rho_max or several parts. The step,
-    lattice and split follow from those values.
+    It measures the cloud once: Cartesian, its box (``coords.bounding_box``,
+    on two threads); an angle system, its radii, only for rho_max or several
+    parts. The step, lattice and split follow from those values.
     """
     if len(cloud) == 0:
         raise ConfigError("cannot quantize an empty cloud")
     radii = None
     if cfg.system == CARTESIAN:
-        lo, hi = _bounding_box(cloud.points)
+        lo, hi = bounding_box(cloud.points)
         steps = box_steps(_step(cfg, float((hi - lo).max())), lo, hi)
     else:
         if cfg.rho_max is None or cfg.parts.n_parts > 1:
@@ -348,16 +349,9 @@ def _code_parts(work, sizes) -> list:
     return on_two_threads(work, len(sizes), () if serial else busy[1:])
 
 
-def _bounding_box(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``coords.bounding_box(points)``, the minima reduced here and the maxima on a helper thread.
-
-    numpy releases the GIL, so this holds on either coder (README, *Speed*, has its measurement).
-    """
-    return tuple(on_two_threads(lambda i: column_extremes(points, (np.min, np.max)[i]), 2, [1]))
-
-
-def _drop_repeats(codes: np.ndarray) -> np.ndarray:
-    """Sorted codes without their repeats, by a neighbour compare."""
+def _sorted_unique(codes: np.ndarray, kind: str | None = None) -> np.ndarray:
+    """``codes`` sorted in place, then without their repeats, by a neighbour compare."""
+    codes.sort(kind=kind)
     keep = np.empty(len(codes), dtype=bool)
     keep[:1] = True
     np.not_equal(codes[1:], codes[:-1], out=keep[1:])
@@ -369,25 +363,20 @@ def _part_leaves(points: np.ndarray, steps: QuantSteps, cut: bool) -> np.ndarray
 
     Given ``cut`` (the encoder's choice for a lone busy part on the C coder)
     and two rows, the rows are cut in two halves: the calling thread and a
-    helper each fill, sort and deduplicate one half's codes
-    (:func:`kernel.lattice_rows`), and the two sorted runs are merged once.
+    helper each compute (:func:`kernel.lattice_codes`), sort and deduplicate
+    one half's codes, and the two sorted runs are merged once. A point's code
+    depends on its row alone, so the halves give the whole part's codes; a
+    radius past the lattice in either half is refused by the largest radius
+    of all the part's rows, as the whole part is.
     """
     if not cut or len(points) < 2:
-        codes = kernel.lattice_codes(points, steps)
-        codes.sort()
-        return _drop_repeats(codes)
-    cuts = (0, len(points) // 2, len(points))
-    codes, fill = kernel.lattice_rows(points, steps)
-
-    def half(i: int) -> np.ndarray:
-        fill(cuts[i], cuts[i + 1])
-        run = codes[cuts[i] : cuts[i + 1]]
-        run.sort()
-        return _drop_repeats(run)
-
-    merged = np.concatenate(on_two_threads(half, 2, [1]))
-    merged.sort(kind="stable")  # timsort merges the two sorted runs
-    return _drop_repeats(merged)
+        return _sorted_unique(kernel.lattice_codes(points, steps))
+    halves = points[: len(points) // 2], points[len(points) // 2 :]
+    try:
+        runs = on_two_threads(lambda i: _sorted_unique(kernel.lattice_codes(halves[i], steps)), 2, [1])
+    except ConfigError:  # the one ConfigError of the lattice: a radius past it
+        raise radius_past_lattice(steps.rho_max, radial_coord(points, steps.system)) from None
+    return _sorted_unique(np.concatenate(runs), kind="stable")  # timsort merges the two sorted runs
 
 
 def encode_cloud(cloud: PointCloud, cfg: CodecConfig) -> Container:

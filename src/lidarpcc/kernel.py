@@ -4,15 +4,13 @@ Per part the codec calls :func:`lattice_codes` (points to leaf Morton codes),
 sorts and deduplicates the codes, then calls :func:`encode_part` (leaf codes
 to symbol count and payload), or on decode :func:`decode_part` (payload to
 leaf codes) and :func:`leaf_points` (leaf codes to voxel centres). The lattice
-calls subtract the header's origin and add it back, in every system. A lone
-part is coded in two halves of its rows on two threads: :func:`lattice_rows`
-fills its codes range by range. The metrics call one function more,
-:func:`neighbour_covariances`, the covariance of each reference point's
-neighbourhood for the D2 normals. This module alone chooses the
-implementation. :func:`load` compiles the C source with the system ``cc``
-into a per-user cache the first time a call asks for it; without a compiler,
-or without a cache directory private to the user, it returns None and every
-call but :func:`lattice_rows` runs its Python twin: ``coords``' numpy lattice
+calls subtract the header's origin and add it back, in every system. The
+metrics call one function more, :func:`neighbour_covariances`, the covariance
+of each reference point's neighbourhood for the D2 normals. This module alone
+chooses the implementation. :func:`load` compiles the C source with the
+system ``cc`` into a per-user cache the first time a call asks for it;
+without a compiler, or without a cache directory private to the user, it
+returns None and every call runs its Python twin: ``coords``' numpy lattice
 chain, the numpy de-interleave and ``coords.lattice_points``, the per-node
 coder (``_encode_per_node``, which builds the octree with ``octree._levels``,
 and ``_decode_per_node``), and the numpy gather, centre and ``einsum``
@@ -186,45 +184,24 @@ def lattice_codes(points: np.ndarray, steps: coords.QuantSteps) -> np.ndarray:
     the kernel takes over the origin, divide, round, clip and interleave for
     every system, and reads Cartesian points in place.
     """
-    if load() is not None:
-        codes, fill = lattice_rows(points, steps)
-        fill(0, len(codes))
-        return codes
-    _check_depth(steps.depth)
-    return _interleave(coords._lattice_indices(_rows(points), steps), steps.depth)
-
-
-def lattice_rows(points: np.ndarray, steps: coords.QuantSteps):
-    """``(codes, fill)``: :func:`lattice_codes` of ``points`` in row ranges, on the compiled kernel alone.
-
-    ``codes`` is an int64 array with a slot per row, and ``fill(start, stop)``
-    writes the codes of rows [start, stop) into ``codes[start:stop]``; ranges
-    may be filled on different threads. The system's coordinates are computed
-    once, for every row, before any range subtracts the origin from them, so
-    a row's code does not depend on the range it is filled in, and a radius
-    past the lattice in any range raises the refusal that names the maximum
-    radius of all the rows.
-    """
     _check_depth(steps.depth)
     points = _rows(points)
     lib = load()
+    if lib is None:
+        return _interleave(coords._lattice_indices(points, steps), steps.depth)
     columns, stride = list(points.T), 3  # Cartesian points read in place, one row of three apart
     if steps.system != coords.CARTESIAN:
         columns, stride = [np.ascontiguousarray(c) for c in coords._system_columns(points, steps.system)], 1
     offset = steps.offset_vector()
-    codes = np.empty(len(points), dtype=np.int64)
     step = np.ascontiguousarray(steps.step_vector(), dtype=np.float64)  # a QuantSteps may hold integer steps
-
-    def fill(start: int, stop: int) -> None:
-        done = lib.lattice_codes(*(_ptr(column[start:], _f64p) for column in columns), stride, stop - start,
-                                 _ptr(offset, _f64p), _ptr(step, _f64p), steps.depth,
-                                 steps.system != coords.CARTESIAN, _ptr(codes[start:], _i64p))
-        if done == _RADIUS:
-            raise coords.radius_past_lattice(steps.rho_max, columns[0])
-        if done != stop - start:
-            raise RuntimeError(f"part kernel failed with code {done}")
-
-    return codes, fill
+    codes = np.empty(len(points), dtype=np.int64)
+    done = lib.lattice_codes(*(_ptr(column, _f64p) for column in columns), stride, len(points), _ptr(offset, _f64p),
+                             _ptr(step, _f64p), steps.depth, steps.system != coords.CARTESIAN, _ptr(codes, _i64p))
+    if done == _RADIUS:
+        raise coords.radius_past_lattice(steps.rho_max, columns[0])
+    if done != len(points):
+        raise RuntimeError(f"part kernel failed with code {done}")
+    return codes
 
 
 def encode_part(codes: np.ndarray, depth: int) -> tuple[int, bytes]:

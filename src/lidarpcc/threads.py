@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextvars
 from concurrent.futures import ThreadPoolExecutor
 
 
@@ -12,6 +13,8 @@ def on_two_threads(work, count: int, helper) -> list:
     started for this call and joined before it returns, runs ``helper`` in
     its order; with ``helper`` empty no thread starts. Only native code that
     releases the GIL (kernel calls, numpy, scipy's k-d tree) runs at once.
+    The helper runs in a copy of the caller's context, so the caller's numpy
+    error state (``np.errstate``) holds on both threads.
     Results and the error raised are those of the serial loop: both threads
     finish, then results are read in order, so the lowest failing ``n`` raises.
     """
@@ -29,7 +32,7 @@ def on_two_threads(work, count: int, helper) -> list:
 
     mine = [n for n in range(count) if n not in theirs]
     with ThreadPoolExecutor(1, thread_name_prefix="lidarpcc-helper") as pool:
-        future = pool.submit(settle, theirs)
+        future = pool.submit(contextvars.copy_context().run, settle, theirs)
         settle(mine)  # leaving the block joins the helper, also when this raises
     future.result()  # settle keeps every Exception; anything else the helper raised ends the call here
     results = []

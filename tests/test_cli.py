@@ -374,6 +374,18 @@ def test_analyze_rejects_rho_max_below_cloud_radius(scan, tmp_path):
     assert not (tmp_path / "o.scp").exists()
 
 
+def test_analyze_prints_a_bound_without_a_utilization_when_no_point_counts(tmp_path):
+    # one spherical part with every point inside INNER_EXCLUSION·ρ_max leaves no point for the
+    # utilization; the bound is printed alone, as the per-part lines leave out a utilization of None
+    near = tmp_path / "near.bin"
+    assert run("synth", near, "--beams", 8, "--points-per-ring", 128, "--rho-max", 20).returncode == 0
+    proc = run("analyze", near, "--system", "spherical", "--q", 0.5, "--rho-max", 1000, "--parts", 1)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[2].startswith("bound=") and "utilization" not in lines[2]
+    assert lines[3] == "excluded=1024 inner-radius points from utilization"
+
+
 def test_analyze_refuses_what_encode_refuses(scan, tmp_path):
     # depth 20 with 3 parts exceeds the octree levels a header may describe
     flags = ("--system", "spherical", "--depth", "20", "--convention", "kitti")

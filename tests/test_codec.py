@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lidarpcc import codec, entropy, kernel
+from lidarpcc import codec, coords, entropy, kernel
 from lidarpcc.analysis import combined_bound_sph
 from lidarpcc.codec import (
     CONVENTIONS,
@@ -242,7 +242,7 @@ class _Measured(Exception):
 def _front_end_measures(cloud, cfg) -> tuple[int, int, int]:
     """How many whole-cloud radius arrays, and how many rows of box minima and of maxima, an encode measures before its parts."""
     radii, rows = [], {np.min: 0, np.max: 0}
-    radial_coord, column_extremes = codec.radial_coord, codec.column_extremes
+    radial_coord, column_extremes = codec.radial_coord, coords.column_extremes
 
     def radius(points, system):
         radii.append(len(points))
@@ -258,8 +258,7 @@ def _front_end_measures(cloud, cfg) -> tuple[int, int, int]:
     with pytest.MonkeyPatch.context() as mp:
         for module in ("coords", "codec", "octree"):
             mp.setattr(f"lidarpcc.{module}.radial_coord", radius)
-        for module in ("coords", "codec"):
-            mp.setattr(f"lidarpcc.{module}.column_extremes", extremes)
+        mp.setattr(coords, "column_extremes", extremes)
         mp.setattr(codec, "_part_leaves", stop)
         with pytest.raises(_Measured):
             encode_cloud(cloud, cfg)

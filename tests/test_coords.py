@@ -146,17 +146,16 @@ def test_bounding_box_keeps_the_signs_of_zero_of_the_axis_reductions():
     # per-column mins and maxes pick a different ±0 than the axis-0 reductions on
     # some of these clouds, and the Cartesian origin is written to the header
     rng = np.random.default_rng(17)
-    # the encoder's box too, its minima and maxima reduced on two threads;
+    # the one box, its minima and maxima reduced on two threads;
     # 512 and 3000 rows are reduced 256 side by side, 3000 with 184 rows left over
     for n in (1, 2, 5, 64, 512, 3000):
         for _ in range(40):
             pts = rng.choice([0.0, -0.0, 1.0, 2.0], size=(n, 3)) * rng.choice([1.0, -1.0])
             least = pts.min(axis=0).tobytes()
-            for box in (bounding_box, codec._bounding_box):
-                lo, hi = box(pts)
-                assert lo.tobytes() == least
-                assert hi.tobytes() == pts.max(axis=0).tobytes()
-                assert np.array(box_steps(0.5, lo, hi).origin_offset).tobytes() == least
+            lo, hi = bounding_box(pts)
+            assert lo.tobytes() == least
+            assert hi.tobytes() == pts.max(axis=0).tobytes()
+            assert np.array(box_steps(0.5, lo, hi).origin_offset).tobytes() == least
             # the header origin of the public rule and of the encoder's front end
             cloud, cfg = PointCloud(pts), codec.CodecConfig(system=CARTESIAN, q=0.5)
             for steps in (derive_steps(CARTESIAN, 0.5, cloud), codec.encode_cloud(cloud, cfg)):
@@ -165,9 +164,8 @@ def test_bounding_box_keeps_the_signs_of_zero_of_the_axis_reductions():
     for n, row in ((300, 0), (300, 255), (300, 256), (300, 299), (512, 511)):
         pts = rng.uniform(-1.0, 1.0, size=(n, 3))
         pts[row] = (5.0, -5.0, 0.0) if row % 2 else (-5.0, 5.0, 0.0)
-        for box in (bounding_box, codec._bounding_box):
-            lo, hi = box(pts)
-            assert (lo.tobytes(), hi.tobytes()) == (pts.min(axis=0).tobytes(), pts.max(axis=0).tobytes())
+        lo, hi = bounding_box(pts)
+        assert (lo.tobytes(), hi.tobytes()) == (pts.min(axis=0).tobytes(), pts.max(axis=0).tobytes())
 
 
 def test_cylindrical_depth_covers_z():

@@ -19,6 +19,7 @@ header fields and parts, or the same refusal. The metrics' one kernel call,
 ``einsum`` bit for bit.
 """
 
+import dataclasses
 import functools
 import struct
 from datetime import timedelta
@@ -27,14 +28,15 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_conformance import CASES as CONFORMANCE
 
 from lidarpcc import kernel
 from lidarpcc.codec import (
     MAGIC,
     CodecConfig,
     Container,
+    _header_lattice,
     _part_leaves,
-    _two_threads,
     decode_cloud,
     encode_cloud,
     pipeline_reconstruct,
@@ -304,8 +306,8 @@ def cut_lattices(draw):
 
 
 def _cut_leaves(points, steps):
-    """The codec's leaf codes with the rows cut in two halves on two threads, as a lone part's; serial on the Python coder."""
-    return _part_leaves(points, steps, _two_threads())
+    """The codec's leaf codes with the rows cut in two halves on two threads, as a lone part's, on either coder."""
+    return _part_leaves(points, steps, True)
 
 
 @settings(max_examples=300, deadline=None)
@@ -316,6 +318,24 @@ def test_cut_rows_give_the_quantize_chains_leaves(case):
     points, steps = case
     outcome = on_both_coders(_or_refusal, _cut_leaves, points, steps)
     assert outcome == _outcome(_or_refusal, lambda: _sorted_codes(quantize(PointCloud(points), steps)))
+
+
+@pytest.mark.parametrize("name", ["near-ties-spherical", "near-ties-cylindrical"])
+def test_halves_give_the_whole_parts_leaves_at_near_ties(name):
+    # these angles lie within a few ulp of a half-step tie, so the last bit of numpy's trig picks
+    # their index: each half's trig must give the bits the whole part's gives, at any cut
+    points, cfg = CONFORMANCE[name][:2]
+    cloud = PointCloud(points())
+    steps = _header_lattice(cloud, dataclasses.replace(cfg, parts=ONE_PART))[0]
+    whole = on_both_coders(_part_leaves, cloud.points, steps, False)
+    assert on_both_coders(_part_leaves, cloud.points, steps, True) == whole
+
+    def halves(cut: int) -> np.ndarray:
+        return np.concatenate([kernel.lattice_codes(rows, steps) for rows in np.split(cloud.points, [cut])])
+
+    codes = on_both_coders(kernel.lattice_codes, cloud.points, steps)
+    for cut in [*range(1, 40), len(cloud) // 2, len(cloud) // 2 + 1, len(cloud) - 7]:
+        assert on_both_coders(halves, cut) == codes, cut
 
 
 @st.composite
