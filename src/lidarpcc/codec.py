@@ -14,8 +14,10 @@ parts decode in isolation, and one call codes its parts on two threads: its
 own and a helper that it starts and joins, so no thread outlives the call.
 An encode whose points all fall in one part (every Cartesian one) leaves no
 part for the helper, so it cuts that part's rows in two halves instead: each
-thread computes, sorts and deduplicates its half's leaf codes, and the two
-sorted runs are merged once. A Cartesian box is measured on two threads too
+thread computes its half's leaf codes and makes them sorted and unique
+(``kernel.unique_codes``: a bitmap of the lattice's leaves, or a sort), and
+the two sorted runs are merged once by that call too. A Cartesian box is
+measured on two threads too
 (``coords.bounding_box``), its minima on the calling thread and its maxima on
 a helper of its own.
 rho_max, q, the origin and the header depth fully determine the
@@ -349,34 +351,31 @@ def _code_parts(work, sizes) -> list:
     return on_two_threads(work, len(sizes), () if serial else busy[1:])
 
 
-def _sorted_unique(codes: np.ndarray, kind: str | None = None) -> np.ndarray:
-    """``codes`` sorted in place, then without their repeats, by a neighbour compare."""
-    codes.sort(kind=kind)
-    keep = np.empty(len(codes), dtype=bool)
-    keep[:1] = True
-    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
-    return codes[keep]
-
-
 def _part_leaves(points: np.ndarray, steps: QuantSteps, cut: bool) -> np.ndarray:
     """A part's sorted, unique leaf Morton codes: ``np.sort(_interleave(quantize(...).indices, depth))``.
 
-    Given ``cut`` (the encoder's choice for a lone busy part on the C coder)
-    and two rows, the rows are cut in two halves: the calling thread and a
-    helper each compute (:func:`kernel.lattice_codes`), sort and deduplicate
-    one half's codes, and the two sorted runs are merged once. A point's code
-    depends on its row alone, so the halves give the whole part's codes; a
-    radius past the lattice in either half is refused by the largest radius
-    of all the part's rows, as the whole part is.
+    Each step that drops repeats is :func:`kernel.unique_codes`, whose one
+    rule picks the kernel's bitmap or numpy's sort. Given ``cut`` (the
+    encoder's choice for a lone busy part on the C coder) and two rows, the
+    rows are cut in two halves: the calling thread and a helper each compute
+    one half's codes (:func:`kernel.lattice_codes`) and drop their repeats,
+    and the two sorted runs are merged once. A point's code depends on its row
+    alone, so the halves give the whole part's codes; a radius past the
+    lattice in either half is refused by the largest radius of all the part's
+    rows, as the whole part is.
     """
+
+    def leaves(rows: np.ndarray) -> np.ndarray:
+        return kernel.unique_codes(kernel.lattice_codes(rows, steps), steps.depth)
+
     if not cut or len(points) < 2:
-        return _sorted_unique(kernel.lattice_codes(points, steps))
+        return leaves(points)
     halves = points[: len(points) // 2], points[len(points) // 2 :]
     try:
-        runs = on_two_threads(lambda i: _sorted_unique(kernel.lattice_codes(halves[i], steps)), 2, [1])
+        runs = on_two_threads(lambda i: leaves(halves[i]), 2, [1])
     except ConfigError:  # the one ConfigError of the lattice: a radius past it
         raise radius_past_lattice(steps.rho_max, radial_coord(points, steps.system)) from None
-    return _sorted_unique(np.concatenate(runs), kind="stable")  # timsort merges the two sorted runs
+    return kernel.unique_codes(np.concatenate(runs), steps.depth, kind="stable")  # timsort merges two sorted runs
 
 
 def encode_cloud(cloud: PointCloud, cfg: CodecConfig) -> Container:

@@ -1,23 +1,27 @@
 """The compiled kernel, ``part_kernel.c`` built on first use and called through ctypes, or its Python twins.
 
 Per part the codec calls :func:`lattice_codes` (points to leaf Morton codes),
-sorts and deduplicates the codes, then calls :func:`encode_part` (leaf codes
-to symbol count and payload), or on decode :func:`decode_part` (payload to
-leaf codes) and :func:`leaf_points` (leaf codes to voxel centres). The lattice
-calls subtract the header's origin and add it back, in every system. The
-metrics call one function more, :func:`neighbour_covariances`, the covariance
-of each reference point's neighbourhood for the D2 normals. This module alone
-chooses the implementation. :func:`load` compiles the C source with the
-system ``cc`` into a per-user cache the first time a call asks for it;
-without a compiler, or without a cache directory private to the user, it
-returns None and every call runs its Python twin: ``coords``' numpy lattice
-chain, the numpy de-interleave and ``coords.lattice_points``, the per-node
-coder (``_encode_per_node``, which builds the octree with ``octree._levels``,
-and ``_decode_per_node``), and the numpy gather, centre and ``einsum``
-(``_gathered_covariances``). The twins give the same bits and raise the same
-errors; the coder runs 100 to 300 times slower per symbol, the covariances
-15 to 20 times slower (README, *Speed*). Kernel calls release the GIL, so parts, a
-lone part's halves and the normal fit's blocks run on two threads.
+:func:`unique_codes` (those codes sorted and without repeats, by the kernel's
+bitmap of the lattice's leaves when it is no larger than the codes), then
+:func:`encode_part` (leaf codes to symbol count and payload), or on decode
+:func:`decode_part` (payload to leaf codes) and :func:`leaf_points` (leaf
+codes to voxel centres). The lattice calls subtract the header's origin and
+add it back, in every system. The metrics call one function more,
+:func:`neighbour_covariances`, the covariance of each reference point's
+neighbourhood for the D2 normals. This module alone chooses the
+implementation. :func:`load` compiles the C source with the system ``cc`` into
+a per-user cache the first time a call asks for it; without a compiler, or
+without a cache directory private to the user, it returns None and every call
+runs its Python twin: ``coords``' numpy lattice chain, numpy's sort and
+neighbour compare (``_sort_unique``, also the kernel path's deduplication on
+lattices larger than their codes), the numpy de-interleave and
+``coords.lattice_points``, the per-node coder (``_encode_per_node``, which
+builds the octree with ``octree._levels``, and ``_decode_per_node``), and the
+numpy gather, centre and ``einsum`` (``_gathered_covariances``). The twins
+give the same bits and raise the same errors; the coder runs 100 to 300 times
+slower per symbol, the covariances 15 to 20 times slower (README, *Speed*).
+Kernel calls release the GIL, so parts, a lone part's halves and the normal
+fit's blocks run on two threads.
 """
 
 from __future__ import annotations
@@ -51,8 +55,8 @@ from .octree import (
 )
 
 SOURCE = Path(__file__).with_name("part_kernel.c")
-# given after the source, as -lm must follow the code that calls rint; no FMA, so index·step + offset rounds twice
-CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC", "-lm")
+# no FMA, so index·step + offset rounds twice; the kernel uses no math.h function, so no -lm
+CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 # error codes of part_kernel.c
 (_EXHAUSTED, _DESYNC, _COUNT_INSIDE, _COUNT_EXCEEDS, _NOMEM, _CAPACITY, _SHAPE, _LEAVES, _RADIUS,
@@ -62,10 +66,12 @@ _NOT_NEIGHBOURS = "neighbour indices must lie in [0, {})"  # _INDEX, on either c
 
 _u8p = ctypes.POINTER(ctypes.c_uint8)
 _i64p = ctypes.POINTER(ctypes.c_int64)
+_u64p = ctypes.POINTER(ctypes.c_uint64)
 _f64p = ctypes.POINTER(ctypes.c_double)
 _SIGNATURES = {
     "lattice_codes": [_f64p, _f64p, _f64p, ctypes.c_int64, ctypes.c_int64, _f64p, _f64p, ctypes.c_int,
                       ctypes.c_int, _i64p],
+    "unique_codes": [_i64p, ctypes.c_int64, ctypes.c_int, _u64p, ctypes.c_int64, _i64p],
     "encode_part": [_i64p, ctypes.c_int64, ctypes.c_int, _i64p, _u8p, ctypes.c_int64, _u8p, ctypes.c_int64,
                     _i64p],
     "decode_part": [_u8p, ctypes.c_int64, ctypes.c_int, ctypes.c_int64, _u8p, _i64p],
@@ -202,6 +208,46 @@ def lattice_codes(points: np.ndarray, steps: coords.QuantSteps) -> np.ndarray:
     if done != len(points):
         raise RuntimeError(f"part kernel failed with code {done}")
     return codes
+
+
+def unique_codes(codes: np.ndarray, depth: int, kind: str | None = None) -> np.ndarray:
+    """``np.unique(codes)`` of a part's leaf Morton ``codes``, each in [0, 8^depth); ``codes`` is reused as scratch.
+
+    The one rule of the deduplication: the kernel's bitmap of 8^depth bits
+    (:func:`_bitmap_unique`) when the kernel loads and the bitmap is no larger
+    than the codes, 8^depth ≤ 64·len(codes); otherwise numpy's sort and a
+    neighbour compare (:func:`_sort_unique`), the no-compiler twin and the path
+    of every deeper lattice. ``kind`` is the sort's: "stable" merges sorted runs
+    in one pass. A code outside [0, 8^depth) raises ValueError on either path.
+    """
+    _check_depth(depth)
+    codes = np.ascontiguousarray(codes, dtype=np.int64)
+    lib = load()
+    if lib is not None and 8**depth <= 64 * len(codes):
+        return _bitmap_unique(codes, depth, lib)
+    return _sort_unique(codes, depth, kind)
+
+
+def _bitmap_unique(codes: np.ndarray, depth: int, lib: ctypes.CDLL) -> np.ndarray:
+    """Each code sets its bit of an 8^depth-bit map, read back in order into the front of ``codes``."""
+    bits = np.empty(-(-(8**depth) // 64), dtype=np.uint64)
+    count = lib.unique_codes(_ptr(codes, _i64p), len(codes), depth, _ptr(bits, _u64p), len(bits), _ptr(codes, _i64p))
+    if count == _LEAVES:
+        raise ValueError(_NOT_LEAVES.format(len(codes), depth))
+    if count < 0:
+        raise RuntimeError(f"part kernel failed with code {count}")
+    return codes[:count]
+
+
+def _sort_unique(codes: np.ndarray, depth: int, kind: str | None) -> np.ndarray:
+    """``codes`` sorted in place, then without their repeats, by a neighbour compare."""
+    codes.sort(kind=kind)
+    if len(codes) and (codes[0] < 0 or codes[-1] >> 3 * depth):
+        raise ValueError(_NOT_LEAVES.format(len(codes), depth))
+    keep = np.empty(len(codes), dtype=bool)
+    keep[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+    return codes[keep]
 
 
 def encode_part(codes: np.ndarray, depth: int) -> tuple[int, bytes]:

@@ -3,17 +3,20 @@
  *
  * lattice_codes turns a part's coordinate columns into one leaf Morton code
  * per point, with coords._lattice_indices' float64 arithmetic and
- * octree._interleave's bit order. The caller sorts and deduplicates the
- * codes. encode_part derives their breadth-first occupancy symbols, one byte
- * per node, levels 1..depth, and range-codes them; decode_part decodes the
- * symbols, leaf_codes expands them to the leaves' Morton codes by their set
- * bits, and code_points turns those codes back into lattice coordinates with
- * coords.lattice_points' float64 arithmetic (built with -ffp-contract=off, so
- * index * step + offset rounds twice, as in numpy). Both take the header's
- * origin as their offset, in every coordinate system. The coder is the
- * compiled twin of the per-node Python coder, kernel._encode_per_node and
- * kernel._decode_per_node: an entropy.AdaptiveContextModel over the
- * contexts of octree.ContextCursor. FORMAT.md specifies the bits.
+ * octree._interleave's bit order. The caller makes the codes sorted and
+ * unique: unique_codes does it by a bitmap of the lattice's 8^depth leaves,
+ * which kernel.unique_codes calls when that bitmap is no larger than the
+ * codes, and numpy's sort does it otherwise. encode_part derives their
+ * breadth-first occupancy symbols, one byte per node, levels 1..depth, and
+ * range-codes them; decode_part decodes the symbols, leaf_codes expands them
+ * to the leaves' Morton codes by their set bits, and code_points turns those
+ * codes back into lattice coordinates with coords.lattice_points' float64
+ * arithmetic (built with -ffp-contract=off, so index * step + offset rounds
+ * twice, as in numpy). Both take the header's origin as their offset, in
+ * every coordinate system. The coder is the compiled twin of the per-node
+ * Python coder, kernel._encode_per_node and kernel._decode_per_node: an
+ * entropy.AdaptiveContextModel over the contexts of octree.ContextCursor.
+ * FORMAT.md specifies the bits.
  *
  * neighbour_covariances serves metrics, not the codec: the 3 x 3 covariance
  * of each reference point's k nearest neighbours, which metrics._fit_normals
@@ -23,7 +26,6 @@
  * negative error code with details in info[0..1], and never write past a
  * buffer's capacity.
  */
-#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -39,9 +41,9 @@ enum {
     ERR_COUNT_INSIDE = -3, /* info[0]: level, info[1]: its node count */
     ERR_COUNT_EXCEEDS = -4, /* info[0]: nodes the tree holds */
     ERR_NOMEM = -5,
-    ERR_CAPACITY = -6,     /* encoder output buffer too small */
+    ERR_CAPACITY = -6,     /* encoder output buffer or unique_codes' bitmap too small */
     ERR_SHAPE = -7,        /* a depth out of range, leaves that disagree with a tree, or k < 1 neighbours */
-    ERR_LEAVES = -8,       /* leaf codes not sorted, unique and below 8^depth */
+    ERR_LEAVES = -8,       /* leaf codes not sorted, unique and below 8^depth (unique_codes: not below) */
     ERR_RADIUS = -9,       /* a radial index past the 2^depth lattice */
     ERR_INDEX = -10,       /* a neighbour index outside the points */
 };
@@ -57,6 +59,14 @@ typedef struct {
     Context *slot[N_CONTEXTS];
 } Model;
 
+/* A fresh context: every frequency 1 (the Fenwick tree's slot i sums i & -i
+ * of them), every count 0. New contexts are copies of it. */
+#define LOW(i) ((i) & -(i))
+#define LOW4(i) LOW(i), LOW(i + 1), LOW(i + 2), LOW(i + 3)
+#define LOW16(i) LOW4(i), LOW4(i + 4), LOW4(i + 8), LOW4(i + 12)
+#define LOW64(i) LOW16(i), LOW16(i + 16), LOW16(i + 32), LOW16(i + 48)
+static const Context FRESH = {{LOW64(0), LOW64(64), LOW64(128), LOW64(192)}, {0}};
+
 static Model *model_new(void) { return calloc(1, sizeof(Model)); }
 
 static void model_free(Model *m) {
@@ -69,9 +79,9 @@ static Context *context(Model *m, unsigned parent, unsigned octant, int level) {
     int capped = level < LEVEL_CAP ? level : LEVEL_CAP;
     Context **p = &m->slot[(parent * 8 + octant) * LEVEL_CAP + (unsigned)capped - 1];
     if (!*p) {
-        Context *c = calloc(1, sizeof(Context));
+        Context *c = malloc(sizeof(Context));
         if (!c) return NULL;
-        for (int i = 1; i < 256; i++) c->tree[i] = (uint16_t)(i & -i);
+        memcpy(c, &FRESH, sizeof(Context));
         *p = c;
     }
     return *p;
@@ -299,39 +309,75 @@ int64_t leaf_codes(const uint8_t *symbols, int depth, int64_t *codes, int64_t le
     return nodes == leaves ? nodes : ERR_SHAPE;
 }
 
-/* The low 21 bits of v moved to every third bit, bit k to bit 3k. */
-static uint64_t spread(uint64_t v) {
-    v &= 0x1FFFFF;
-    v = (v | v << 32) & 0x1F00000000FFFFull;
-    v = (v | v << 16) & 0x1F0000FF0000FFull;
-    v = (v | v << 8) & 0x100F00F00F00F00Full;
-    v = (v | v << 4) & 0x10C30C30C30C30C3ull;
-    v = (v | v << 2) & 0x1249249249249249ull;
-    return v;
+/* SPREAD[v]: the 10 bits of v moved to every third bit, bit k to bit 3k. */
+#define S(i) ((((i) & 1) | ((i) & 2) << 2 | ((i) & 4) << 4 | ((i) & 8) << 6 | ((i) & 16) << 8 | ((i) & 32) << 10 | \
+              ((i) & 64) << 12 | ((i) & 128) << 14 | ((i) & 256) << 16 | ((i) & 512) << 18))
+#define S4(i) S(i), S(i + 1), S(i + 2), S(i + 3)
+#define S16(i) S4(i), S4(i + 4), S4(i + 8), S4(i + 12)
+#define S64(i) S16(i), S16(i + 16), S16(i + 32), S16(i + 48)
+#define S256(i) S64(i), S64(i + 64), S64(i + 128), S64(i + 192)
+static const uint32_t SPREAD[1024] = {S256(0), S256(256), S256(512), S256(768)};
+
+/* The low 20 bits of v moved to every third bit, bit k to bit 3k. */
+static uint64_t spread(uint64_t v) { return SPREAD[v & 1023] | (uint64_t)SPREAD[v >> 10 & 1023] << 30; }
+
+/* The lattice index of quotient u: rint(u) clipped to [0, hi], in float64, so
+ * no double outside int64 is ever cast. u is clipped first (a NaN to 0), then
+ * rounded: on [0, 2^20 - 1], adding and subtracting 2^52 rounds to the
+ * nearest integer, ties to even, exactly as rint does, with no test of u's
+ * size or sign. Rounding is monotone and hi an integer, so the order of the
+ * two does not change the index. */
+static uint64_t lattice_index(double u, double hi) {
+    u = u > 0 ? u : 0;
+    u = u < hi ? u : hi;
+    return (uint64_t)(int64_t)((u + 0x1p52) - 0x1p52);
 }
 
 /* Leaf Morton code of each of n points, into codes[0..n). Axis k of point i
  * is column k's element i * stride. Its index is rint((c - offset[k]) /
- * step[k]) clipped to [0, 2^depth - 1], all in float64, so no double outside
- * int64 is ever cast. With radial set, an axis-0 index past 2^depth - 1 is
- * refused instead. Codes interleave the indices, x highest in each 3-bit
- * group. Returns n. */
+ * step[k]) clipped to [0, 2^depth - 1] (lattice_index). With radial set, an
+ * axis-0 index past 2^depth - 1 is refused instead: its quotient is at least
+ * 2^depth - 1/2, which rounds past the lattice since 2^depth - 1 is odd. The
+ * refusal is noted in the loop and returned after it. Codes interleave the
+ * indices, x highest in each 3-bit group. Returns n. */
 int64_t lattice_codes(const double *x, const double *y, const double *z, int64_t stride, int64_t n,
                       const double *offset, const double *step, int depth, int radial, int64_t *codes) {
     if (depth < 1 || depth > 20) return ERR_SHAPE;
-    const double *column[3] = {x, y, z};
-    const double hi = (double)((1 << depth) - 1);
+    const double o0 = offset[0], o1 = offset[1], o2 = offset[2], s0 = step[0], s1 = step[1], s2 = step[2];
+    const double hi = (double)((1 << depth) - 1), past = hi + 0.5;
+    int refused = 0;
     for (int64_t i = 0; i < n; i++) {
-        uint64_t code = 0;
-        for (int k = 0; k < 3; k++) {
-            double r = rint((column[k][i * stride] - offset[k]) / step[k]);
-            if (radial && k == 0 && r > hi) return ERR_RADIUS;
-            r = r > 0 ? (r < hi ? r : hi) : 0; /* a NaN clips to 0 */
-            code |= spread((uint64_t)r) << (2 - k);
-        }
+        double u = (x[i * stride] - o0) / s0;
+        refused |= u >= past;
+        uint64_t code = spread(lattice_index(u, hi)) << 2;
+        code |= spread(lattice_index((y[i * stride] - o1) / s1, hi)) << 1;
+        code |= spread(lattice_index((z[i * stride] - o2) / s2, hi));
         codes[i] = (int64_t)code;
     }
-    return n;
+    return radial && refused ? ERR_RADIUS : n;
+}
+
+/* The sorted, unique codes of codes[0..n), each below 8^depth, into out[0..count):
+ * each code sets its bit of a bitmap of 8^depth bits in bits[0..words), and
+ * the set bits are read back in order. out may be codes itself, as every code
+ * is read before any is written. A code outside [0, 8^depth) returns
+ * ERR_LEAVES and a bitmap of fewer words ERR_CAPACITY, both before a bit
+ * outside the bitmap is touched. Returns the count. */
+int64_t unique_codes(const int64_t *codes, int64_t n, int depth, uint64_t *bits, int64_t words, int64_t *out) {
+    if (depth < 1 || depth > 20) return ERR_SHAPE;
+    const uint64_t size = (uint64_t)1 << 3 * depth;
+    const int64_t used = (int64_t)((size + 63) / 64);
+    if (words < used) return ERR_CAPACITY;
+    memset(bits, 0, (size_t)used * sizeof *bits);
+    for (int64_t i = 0; i < n; i++) {
+        uint64_t c = (uint64_t)codes[i]; /* a negative code wraps past size */
+        if (c >= size) return ERR_LEAVES;
+        bits[c >> 6] |= (uint64_t)1 << (c & 63);
+    }
+    int64_t count = 0;
+    for (int64_t w = 0; w < used; w++)
+        for (uint64_t b = bits[w]; b; b &= b - 1) out[count++] = w << 6 | __builtin_ctzll(b);
+    return count;
 }
 
 /* The bits of v at every third position, bit 3k to bit k: the inverse of spread. */

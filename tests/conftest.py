@@ -2,7 +2,8 @@
 
 ``--coder python`` replaces the compiled-kernel loader with one that finds no
 kernel, so the codec's calls per part run their Python twins across the whole
-suite: ``kernel.lattice_codes`` the numpy lattice chain,
+suite: ``kernel.lattice_codes`` the numpy lattice chain, ``kernel.unique_codes``
+numpy's sort and neighbour compare,
 ``kernel.leaf_points`` the numpy de-interleave and ``coords.lattice_points``,
 ``kernel.encode_part`` (leaf codes to symbol count and payload) and
 ``kernel.decode_part`` (payload to leaf codes) the per-node Python coder,

@@ -10,7 +10,9 @@ coder and, whenever the kernel loads (not under ``--coder python``), on the
 kernel too: it must write the same payload bytes, decode the same leaf codes,
 and reject the same corrupt inputs with the same messages, word for word. The
 encoder's leaf codes, from ``kernel.lattice_codes`` on either side, are held
-to ``quantize``'s numpy chain the same way, and the decoder's voxel centres,
+to ``quantize``'s numpy chain the same way, with the deduplication's two
+paths (``kernel.unique_codes``: the kernel's bitmap or numpy's sort) both
+taken, and the decoder's voxel centres,
 from ``kernel.leaf_points``, to ``coords.lattice_points`` bit for bit. The
 encoder's front end, which ``pipeline_reconstruct`` shares, is held to the
 public ``resolve_step``, ``derive_steps`` and ``part_assignment``: the same
@@ -19,6 +21,8 @@ header fields and parts, or the same refusal. The metrics' one kernel call,
 ``einsum`` bit for bit.
 """
 
+import collections
+import contextlib
 import dataclasses
 import functools
 import struct
@@ -154,9 +158,17 @@ def test_codec_matches_reference_path(case, data):
 
 @st.composite
 def lattices(draw):
-    """Points and the steps of one part's lattice, with ±0s, exact half-step ties, clipped and refused indices."""
+    """Points and the steps of one part's lattice, with ±0s, exact half-step ties, clipped and refused indices.
+
+    Up to two rows on an axis at the lattice's radial edge, (2^depth − ½)·q and
+    one ulp either side, or at −½·q put the first axis's quotient (a Cartesian
+    x, an angle system's ρ) on the edges of its rounding and refusal. A dense
+    draw adds 128 to 256 rows, so a depth-4 lattice's 8^4 bits are no larger
+    than the codes of all its rows, or of either half, and the deduplication
+    takes the kernel's bitmap; depth 4 is drawn a third of the time.
+    """
     system = draw(st.sampled_from(SYSTEMS), label="system")
-    depth = draw(st.sampled_from([1, 2, 3, 7, 12, 20]), label="depth")
+    depth = draw(st.sampled_from([1, 2, 3, 4, 4, 4, 7, 12, 20]), label="depth")
     q = draw(st.sampled_from([0.5, 0.1, 3.0]), label="q")
     hi = (1 << depth) - 1
     # 2 to 2^depth radial bins; a ρ past (bins − ½)·q is refused, which the largest coordinates reach
@@ -164,7 +176,15 @@ def lattices(draw):
     top = hi + 2 if system == CARTESIAN else bins // 2 + 1
     tie = st.integers(-2 * top, 2 * top).map(lambda k: k * q / 2)  # k·q/2: odd k is a tie
     value = st.sampled_from([0.0, -0.0]) | tie | st.floats(-top * q, top * q, allow_nan=False)
+    edge = (hi + 0.5) * q  # a quotient of 2^depth − ½ rounds past the lattice: refused on a radial axis
+    radial = st.sampled_from([edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf), -q / 2])
+    on_axis = radial.flatmap(lambda v: st.permutations([v, 0.0, -0.0]))  # ρ = |v| in either angle system
     rows = draw(st.lists(st.tuples(value, value, value), min_size=1, max_size=30), label="points")
+    for row in draw(st.lists(on_axis, max_size=2), label="edges"):
+        rows.insert(draw(st.integers(0, len(rows))), tuple(row))
+    if draw(st.booleans(), label="dense"):  # quarter steps within ±top·q/2, so an angle system's ρ stays below top·q
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+        rows += (rng.integers(-2 * top, 2 * top + 1, size=(draw(st.integers(128, 256)), 3)) * q / 4).tolist()
     if draw(st.booleans(), label="outlier"):  # an index past int64, which clips (Cartesian) or is refused
         rows.insert(draw(st.integers(0, len(rows))), draw(st.permutations([1e20, -1e20, 0.0])))
     origin = draw(st.sampled_from([(0.0, 0.0, 0.0), (-0.0, 0.0, -0.0), (-0.0, -0.0, -0.0)])
@@ -185,16 +205,46 @@ def _or_refusal(call, *args):
         return f"ConfigError: {exc}"
 
 
+@contextlib.contextmanager
+def _dedup_paths():
+    """Counts of the calls of ``kernel.unique_codes``' two paths inside the block, keyed by (path, depth)."""
+    counts = collections.Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_bitmap_unique", "_sort_unique"):
+            def counted(*args, real=getattr(kernel, name), name=name):
+                counts[name, args[1]] += 1
+                return real(*args)
+
+            mp.setattr(kernel, name, counted)
+        yield counts
+
+
+def _assert_both_paths_ran(counts):
+    """The sort ran, and on the kernel the bitmap ran too, at depth 4 or more; without the kernel it never runs."""
+    assert any(name == "_sort_unique" for name, _ in counts)
+    bitmap = {depth for name, depth in counts if name == "_bitmap_unique"}
+    if kernel.load() is None:
+        assert not bitmap
+    else:
+        assert max(bitmap, default=0) >= 4
+
+
 @settings(max_examples=300, deadline=None)
 @given(lattices())
-def test_lattice_codes_match_the_quantize_chain(case):
-    # the codec's leaf codes, the kernel's lattice and Morton codes then sort and
-    # dedup, are the reference chain's bit for bit, refusals word for word
+def _lattice_codes_match_the_quantize_chain(case):
     points, steps = case
     outcome = on_both_coders(_or_refusal, _part_leaves, points, steps, False)
     assert outcome == _outcome(_or_refusal, lambda: _sorted_codes(quantize(PointCloud(points), steps)))
     if isinstance(outcome, str):
         assert outcome.startswith(f"ConfigError: rho_max={steps.rho_max} smaller than cloud max radius ")
+
+
+def test_lattice_codes_match_the_quantize_chain():
+    # the codec's leaf codes, the kernel's lattice and Morton codes then the bitmap or the
+    # sort and dedup, are the reference chain's bit for bit, refusals word for word
+    with _dedup_paths() as paths:
+        _lattice_codes_match_the_quantize_chain()
+    _assert_both_paths_ran(paths)
 
 
 @st.composite
@@ -312,12 +362,64 @@ def _cut_leaves(points, steps):
 
 @settings(max_examples=300, deadline=None)
 @given(cut_lattices())
-def test_cut_rows_give_the_quantize_chains_leaves(case):
-    # each half filled, sorted and deduplicated on its own thread, then merged: the reference
-    # chain's leaves bit for bit, and its refusal word for word, naming the radius of all the rows
+def _cut_rows_give_the_quantize_chains_leaves(case):
     points, steps = case
     outcome = on_both_coders(_or_refusal, _cut_leaves, points, steps)
     assert outcome == _outcome(_or_refusal, lambda: _sorted_codes(quantize(PointCloud(points), steps)))
+
+
+def test_cut_rows_give_the_quantize_chains_leaves():
+    # each half filled and deduplicated on its own thread, then merged, each step by the bitmap or the sort:
+    # the reference chain's leaves bit for bit, and its refusal word for word, naming the radius of all the rows
+    with _dedup_paths() as paths:
+        _cut_rows_give_the_quantize_chains_leaves()
+    _assert_both_paths_ran(paths)
+
+
+@st.composite
+def code_sets(draw):
+    """Codes at depths 1–8, n below, at and above 8^depth / 64, with repeats, 0 and 8^depth − 1; or one out of range."""
+    depth = draw(st.integers(1, 8), label="depth")
+    top = 8**depth
+    edge = top // 64  # 8^depth = 64·n: the bitmap is as large as the codes
+    n = draw(st.sampled_from([max(edge - 1, 0), edge, edge + 1]) | st.integers(0, 40), label="n")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    spread = draw(st.sampled_from([top, max(n // 4, 1)]), label="spread")  # few distinct values: many repeats
+    codes = rng.integers(0, spread, size=n)
+    for value in (0, top - 1):
+        if n and draw(st.booleans()):
+            codes[rng.integers(n)] = value
+    if n and draw(st.booleans(), label="out of range"):
+        codes[rng.integers(n)] = draw(st.sampled_from([-1, top, top + 1, -(2**63), 2**63 - 1]), label="bad")
+    return codes.astype(np.int64), depth
+
+
+def _unique_or_error(codes, depth):
+    try:
+        unique = kernel.unique_codes(codes.copy(), depth)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    return unique.dtype.str, unique.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(code_sets())
+def _unique_codes_are_numpys(case):
+    codes, depth = case
+    outcome = on_both_coders(_unique_or_error, codes, depth)
+    if ((codes < 0) | (codes >= 8**depth)).any():
+        assert outcome == f"ValueError: {kernel._NOT_LEAVES.format(len(codes), depth)}"
+    else:
+        assert outcome == (np.dtype(np.int64).str, np.unique(codes).tobytes())
+
+
+def test_unique_codes_are_numpys_on_either_path():
+    # the bitmap, when the kernel loads and 8^depth ≤ 64·n, and otherwise the sort and neighbour compare give
+    # np.unique bit for bit, and refuse a code outside [0, 8^depth) with the same ValueError
+    with _dedup_paths() as paths:
+        _unique_codes_are_numpys()
+    assert any(name == "_sort_unique" for name, _ in paths)
+    assert any(name == "_bitmap_unique" for name, _ in paths) == (kernel.load() is not None)
 
 
 @pytest.mark.parametrize("name", ["near-ties-spherical", "near-ties-cylindrical"])

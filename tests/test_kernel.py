@@ -200,3 +200,24 @@ def test_the_kernel_checks_every_neighbour_index_before_it_reads_a_point():
     assert lib.neighbour_covariances(None, 0, kernel._ptr(idx, kernel._i64p), 2, 12, None) == kernel._INDEX
     assert lib.neighbour_covariances(None, 0, None, 0, 12, None) == 0  # no rows: nothing to check or read
     assert lib.neighbour_covariances(None, 0, None, 1, 0, None) == kernel._SHAPE
+
+
+@needs_cc
+def test_unique_codes_refuse_before_they_touch_a_bit_past_the_bitmap():
+    lib = kernel.open_kernel()
+
+    def unique(codes, depth, words):
+        codes = np.array(codes, dtype=np.int64)
+        bits = np.full(words + 1, 7, dtype=np.uint64)  # a guard word past the bitmap
+        count = lib.unique_codes(kernel._ptr(codes, kernel._i64p), len(codes), depth,
+                                 kernel._ptr(bits, kernel._u64p), words, kernel._ptr(codes, kernel._i64p))
+        assert bits[-1] == 7
+        return count, codes[: max(count, 0)].tolist()
+
+    assert unique([511, 0, 5, 5, 511, 64], 3, 8) == (4, [0, 5, 64, 511])  # in place: 8 words hold 8^3 bits
+    assert unique([7, 1, 7], 1, 1) == (2, [1, 7])  # 8^1 bits in one word
+    assert unique([0], 3, 7)[0] == kernel._CAPACITY
+    for bad in (512, -1, np.iinfo(np.int64).min, np.iinfo(np.int64).max):
+        assert unique([3, bad, 4], 3, 8)[0] == kernel._LEAVES
+    for depth in (0, 21):
+        assert unique([0], depth, 8)[0] == kernel._SHAPE
